@@ -19,9 +19,10 @@
 // The static working-set analyzer (analysis/workset.hpp) gets the same
 // treatment: 1-thread runs time compute_all_worksets + plan_shards over the
 // fitted model (the `rdtool plan` path) as `workset_seconds`, then replay
-// one full sweep per prefix twice -- plain Engine::run vs the compacted
-// view -- to report the compacted-sweep speedup.  At scale >= 0.15 the
-// speedup must exceed 1x (exit 1).  The per-prefix (static cost, measured
+// one sweep per prefix twice -- over the identity view vs over the relaxed
+// working-set view the refinement sweep simulates, each charged its view
+// construction -- to report the compacted-sweep speedup.  At scale >= 0.15
+// the speedup must exceed 1x (exit 1).  The per-prefix (static cost, measured
 // sweep seconds) samples from every 1-thread run are pooled ACROSS scales
 // and their correlation gated positive: within one scale the fitted
 // models' per-prefix workloads are deliberately uniform (measured message
@@ -43,10 +44,11 @@
 // recorder) -- best-of-3 each, asserts the two fitted models are
 // byte-identical, and gates profiled/bare <= --observer-overhead-max
 // (default 1.05, the CI perf-smoke gate) at scales above the noise floor.
-// The profiled run's per-shard samples also score the static cost model:
-// the Spearman rank correlation of predicted shard cost vs measured shard
-// wall-clock must be positive whenever enough sharded samples exist (the
-// planner only needs the ORDER of shard loads to be right).
+// The profiled run's per-prefix sweep samples (a profile "shard" is one
+// prefix) also score the static cost model: the Spearman rank correlation
+// of predicted cost vs measured wall-clock must be positive whenever
+// enough samples exist (a planner only needs the ORDER of loads to be
+// right).
 //
 //   bench_refine [--scales=0.05,0.1,0.2] [--seed=1] [--threads=0]
 //                [--out=BENCH_refine.json] [--baseline=FILE]
@@ -77,6 +79,7 @@
 #include "analysis/partition.hpp"
 #include "analysis/reachability_cache.hpp"
 #include "analysis/workset.hpp"
+#include "bgp/sim_memory.hpp"
 #include "bgp/threadpool.hpp"
 #include "core/pipeline.hpp"
 #include "netbase/cli.hpp"
@@ -113,8 +116,8 @@ struct RunResult {
   /// Working-set analyzer wall-clock: compute_all_worksets + plan_shards
   /// over the fitted model (1-thread runs only; 0 elsewhere).
   double workset_seconds = 0;
-  /// One full per-prefix sweep with Engine::run divided by the same sweep
-  /// through compacted views (0 when compaction was unavailable/skipped).
+  /// One per-prefix sweep over identity views divided by the same sweep
+  /// over relaxed working-set views (0 on multi-thread runs).
   double compact_speedup = 0;
   double plan_imbalance = 0;
   /// Process peak RSS right after the fit (getrusage high-water mark:
@@ -217,33 +220,35 @@ RunResult run_once(double scale, std::uint64_t seed, unsigned threads) {
     run.workset_seconds = seconds_since(ws_start);
     run.plan_imbalance = plan.imbalance;
 
-    // Cost-model samples + compacted-sweep speedup: one full sweep over
-    // every prefix with the plain engine, the same sweep through compacted
-    // views.  The (cost, seconds) pairs feed the pooled cross-scale
+    // Cost-model samples + compacted-sweep speedup: one sweep over every
+    // prefix through identity views, the same sweep through relaxed
+    // working-set views, each leg reusing one arena like a sweep worker.
+    // Both legs charge view construction, and the relaxed leg its
+    // reachability BFS too: the model mutates every iteration, so the
+    // refinement sweep misses the reachability cache on every simulation.
+    // The (cost, seconds) pairs feed the pooled cross-scale
     // predicted-vs-measured correlation in main.
     double full_total = 0, compact_total = 0;
-    bool compact_ok = true;
+    bgp::SimMemory memory;
+    bgp::PrefixSimResult sim;
     for (const analysis::PrefixWorkset& ws : worksets) {
       const auto full_start = std::chrono::steady_clock::now();
-      engine.run(ws.prefix, ws.origin);
+      engine.run_into(engine.identity_view(ws.prefix, ws.origin), memory,
+                      nullptr, nullptr, sim);
       const double full_seconds = seconds_since(full_start);
       full_total += full_seconds;
       run.prefix_costs.push_back(static_cast<double>(ws.cost));
       run.prefix_times.push_back(full_seconds);
-      // The compacted leg charges view construction too (the sweep pays it
-      // every iteration), but reuses the workset like the refine loop
-      // reuses its reachability cache.
       const auto compact_start = std::chrono::steady_clock::now();
-      if (std::shared_ptr<const bgp::PrefixView> view =
-              engine.build_view(ws.prefix, ws.origin, ws.members)) {
-        engine.run_compacted(std::move(view));
-      } else {
-        compact_ok = false;
-      }
+      engine.run_into(
+          engine.build_view(ws.prefix, ws.origin,
+                            analysis::relaxed_reachable(
+                                model, model.find_policy(ws.prefix),
+                                ws.origin)),
+          memory, nullptr, nullptr, sim);
       compact_total += seconds_since(compact_start);
     }
-    if (compact_ok && compact_total > 0)
-      run.compact_speedup = full_total / compact_total;
+    if (compact_total > 0) run.compact_speedup = full_total / compact_total;
   }
   return run;
 }
@@ -252,7 +257,7 @@ RunResult run_once(double scale, std::uint64_t seed, unsigned threads) {
 /// observability stack -- metric registry, kIteration trace sink and a
 /// flight recorder -- exactly like `rdtool refine --trace`; bare runs
 /// attach nothing, so they exercise the zero-observer path the overhead
-/// ratio is measured against.  The per-shard profiler samples from the
+/// ratio is measured against.  The per-prefix profiler samples from the
 /// profiled fit come back via `samples` for the cost-model score.
 struct OverheadRun {
   double seconds = 0;
@@ -316,7 +321,6 @@ void append_json(nb::JsonWriter& w, const RunResult& run) {
   w.key("messages_per_second").value_fixed(messages_per_second(run), 0);
   w.key("routers_per_second").value_fixed(routers_per_second(run), 1);
   w.key("peak_rss_bytes").value(run.peak_rss_bytes);
-  w.key("sharded_iterations").value(run.refine.sharded_iterations);
   // 0 on 1-thread legs; the multi-thread leg carries its speedup over the
   // 1-thread fit at the same scale.
   w.key("parallel_speedup").value_fixed(run.parallel_speedup, 3);
@@ -342,7 +346,6 @@ void append_json(nb::JsonWriter& w, const RunResult& run) {
   w.key("workset_seconds").value_fixed(run.workset_seconds, 6);
   w.key("compact_speedup").value_fixed(run.compact_speedup, 3);
   w.key("plan_imbalance").value_fixed(run.plan_imbalance, 4);
-  w.key("compacted_runs").value(run.refine.compacted_runs);
   w.end_object();
 }
 
@@ -423,7 +426,9 @@ int main(int argc, char** argv) {
   bool identical = true;
   std::vector<RunResult> runs;
   for (const double scale : scales) {
-    const std::string* one_thread_model = nullptr;
+    // Index (not address) of this scale's 1-thread run: later push_backs
+    // reallocate `runs`.
+    const std::size_t one_thread_run = runs.size();
     double one_thread_total = 0;
     std::vector<unsigned> thread_counts{1};
     if (multi != 1) thread_counts.push_back(multi);
@@ -452,9 +457,8 @@ int main(int argc, char** argv) {
           static_cast<double>(run.peak_rss_bytes) / (1024.0 * 1024.0),
           run.route_space_seconds, run.workset_seconds, run.compact_speedup);
       runs.push_back(std::move(run));
-      if (one_thread_model == nullptr) {
-        one_thread_model = &runs.back().model_text;
-      } else if (*one_thread_model != runs.back().model_text) {
+      if (runs.size() - 1 != one_thread_run &&
+          runs[one_thread_run].model_text != runs.back().model_text) {
         identical = false;
         std::fprintf(stderr,
                      "bench_refine: FITTED MODEL DIFFERS between 1 and %u "

@@ -33,10 +33,10 @@ class Checker {
         options_(options) {}
 
   Diagnostics run() {
-    // dense_size() is the model's router count at run time, for full and
-    // compacted results alike; routers outside a compacted view read as
-    // default-empty through state(), which is provably what a full run
-    // leaves them with (Engine::run_compacted contract).
+    // dense_size() is the model's router count at run time, whatever the
+    // view; routers outside a working-set view read as default-empty
+    // through state(), which is provably what a full run leaves them with
+    // (Engine::run_into contract).
     if (result_.dense_size() != model_.num_routers()) {
       error(codes::kSimStale, "simulation",
             "result covers " + std::to_string(result_.dense_size()) +
@@ -165,7 +165,7 @@ class Checker {
 
   void check_fixed_point() {
     // Replaying propagation over EVERY session -- including edges that
-    // cross out of a compacted view's working set -- doubles as a dynamic
+    // cross out of a working-set view -- doubles as a dynamic
     // soundness check of the working set itself: if a member's best could
     // propagate into a non-member, the non-member's empty RIB-In would
     // report kRibInStale here.
@@ -176,7 +176,7 @@ class Checker {
         if (peer >= result_.dense_size()) continue;  // linter territory
         std::optional<Route> expected;
         if (best != nullptr)
-          expected = engine_.propagate(policy, r, peer, *best);
+          expected = engine_.propagate(*ctx_, policy, r, peer, *best);
         compare_adjacency(r, peer, /*ibgp=*/false, expected);
       }
       if (engine_.options().use_ibgp_mesh) check_mesh_adjacencies(r);

@@ -33,15 +33,6 @@ std::uint64_t plan_fingerprint(std::size_t num_routers,
   return hash;
 }
 
-std::uint64_t plan_fingerprint(const topo::Model& model) {
-  std::uint64_t hash = kFnvOffset;
-  fnv_mix(hash, model.num_routers());
-  const std::vector<nb::Asn> asns = model.asns();
-  fnv_mix(hash, asns.size());
-  for (const nb::Asn asn : asns) fnv_mix(hash, asn);
-  return hash;
-}
-
 ShardPlan plan_shards(const std::vector<PrefixWorkset>& worksets,
                       std::size_t num_routers, const PlanOptions& options,
                       Diagnostics* diags) {
@@ -113,7 +104,6 @@ ShardPlan plan_shards(const std::vector<PrefixWorkset>& worksets,
     }
 
     plan.shards[best].prefixes.push_back(p);
-    plan.shards[best].prefix_costs.push_back(ws.cost);
     plan.shards[best].cost += ws.cost;
     for (std::size_t r = 0; r < num_routers; ++r) {
       if (ws.members[r] != 0) covered[best][r] = 1;

@@ -1,5 +1,6 @@
 // Static shard planning: packs per-prefix working sets (workset.hpp) into
-// N balanced shards for a partitioned refinement sweep.
+// N balanced shards -- the placement a partitioned (distributed) refinement
+// sweep would run; `rdtool plan` reports it.
 //
 // The objective mirrors distributed-simulation placement: each shard
 // simulates its prefixes independently, so (a) shard loads -- summed
@@ -41,11 +42,6 @@ struct ShardPlan {
     /// Indices into the workset vector the plan was built from, in
     /// placement order.
     std::vector<std::size_t> prefixes;
-    /// Static cost of each placed prefix, aligned with `prefixes` -- lets
-    /// a consumer executing the plan over a SUBSET of prefixes (the
-    /// shard-executed sweep's active set) price the work it actually runs
-    /// without re-deriving worksets.
-    std::vector<std::uint64_t> prefix_costs;
     std::uint64_t cost = 0;
     /// Distinct routers covered by the shard's working sets.
     std::size_t routers = 0;
@@ -64,22 +60,16 @@ struct ShardPlan {
   std::size_t relaxed_prefixes = 0;
   /// Dataset fingerprint (plan_fingerprint): identifies the (model router
   /// count, per-prefix origin sequence) the plan's workset indices refer
-  /// to.  Consumers executing an externally supplied plan -- refine_model
-  /// via RefineConfig::shard_plan -- recompute the model-side fingerprint
-  /// and reject a mismatch with A822 rather than mis-mapping indices.
+  /// to, so a consumer of the plan JSON can tell whether it still matches
+  /// a model before mapping indices back to prefixes.
   std::uint64_t fingerprint = 0;
 };
 
 /// FNV-1a over the dataset identity a plan indexes into: the model's
 /// router count, the prefix count, and each prefix's origin AS in index
-/// order.  The workset overload hashes what the planner was given; the
-/// model overload hashes what compute_all_worksets WOULD produce for
-/// `model` (its ascending AS list, one Prefix::for_asn prefix each) --
-/// they agree exactly when the plan was built from that model's full
-/// workset sweep.
+/// order, as given to the planner.
 std::uint64_t plan_fingerprint(std::size_t num_routers,
                                const std::vector<PrefixWorkset>& worksets);
-std::uint64_t plan_fingerprint(const topo::Model& model);
 
 /// Plans `options.shards` shards over the given worksets (all against the
 /// same model; `num_routers` = that model's router count).  `diags`, when

@@ -38,7 +38,8 @@ RouteSpace build_route_space(const bgp::Engine& engine,
   space.origin = origin;
   const Model& model = engine.model();
   const topo::PrefixPolicy* policy = model.find_policy(prefix);
-  const std::vector<std::uint32_t> ids = bgp::dense_ids(model);
+  const std::shared_ptr<const bgp::SimContext> ctx = engine.context();
+  const std::vector<std::uint32_t>& ids = ctx->ids;
   space.by_router.resize(model.num_routers());
 
   // (router, path) -> node id.  std::map keeps rediscovery deterministic.
@@ -76,7 +77,7 @@ RouteSpace build_route_space(const bgp::Engine& engine,
       // import both recompute attributes), so the representative choice
       // below never requires re-propagation.
       std::optional<Route> imported =
-          engine.propagate(policy, v, u, space.nodes[parent].route);
+          engine.propagate(*ctx, policy, v, u, space.nodes[parent].route);
       if (!imported.has_value()) continue;
       auto it = index.find(std::make_pair(u, imported->path));
       std::size_t child;
@@ -148,6 +149,7 @@ std::vector<char> guaranteed_routers(const bgp::Engine& engine,
   if (space.truncated) return guaranteed;
 
   const topo::PrefixPolicy* policy = model.find_policy(space.prefix);
+  const std::shared_ptr<const bgp::SimContext> ctx = engine.context();
   while (!work.empty()) {
     const Model::Dense v = work.front();
     work.pop_front();
@@ -158,7 +160,7 @@ std::vector<char> guaranteed_routers(const bgp::Engine& engine,
       // nothing it can select is droppable on v->u.
       bool all_transmit = !space.by_router[v].empty();
       for (const std::size_t id : space.by_router[v]) {
-        if (!engine.propagate(policy, v, u, space.nodes[id].route)
+        if (!engine.propagate(*ctx, policy, v, u, space.nodes[id].route)
                  .has_value()) {
           all_transmit = false;
           break;

@@ -25,6 +25,23 @@ void close_under_as_mates(const Model& model, std::vector<char>& members) {
 
 }  // namespace
 
+std::uint64_t relaxed_edge_cost(std::uint32_t deny_below_len,
+                                const RouteSpaceOptions& space) {
+  const std::uint64_t max_len =
+      std::max<std::uint64_t>(1, space.max_path_length);
+  const std::uint64_t denied =
+      std::min<std::uint64_t>(deny_below_len, max_len);
+  return space.max_paths_per_router * (max_len - denied) / max_len;
+}
+
+std::uint64_t view_cost(const bgp::PrefixView& view,
+                        const RouteSpaceOptions& space) {
+  std::uint64_t bounded = 0;
+  for (const bgp::PrefixView::Edge& edge : view.edges)
+    bounded += relaxed_edge_cost(edge.deny_below_len, space);
+  return static_cast<std::uint64_t>(view.members.size()) * bounded;
+}
+
 PrefixWorkset compute_working_set(const bgp::Engine& engine,
                                   const nb::Prefix& prefix, nb::Asn origin,
                                   const WorksetOptions& options,
@@ -79,8 +96,6 @@ PrefixWorkset compute_working_set(const bgp::Engine& engine,
 
   RD_CHECK(ws.members.size() == n, "compute_working_set: stale model read");
   const topo::PrefixPolicy* policy = model.find_policy(prefix);
-  const std::uint64_t max_len =
-      std::max<std::uint64_t>(1, options.space.max_path_length);
   for (Model::Dense r = 0; r < n; ++r) {
     if (ws.members[r] == 0) continue;
     ++ws.size;
@@ -89,21 +104,15 @@ PrefixWorkset compute_working_set(const bgp::Engine& engine,
           model.peers(r).size() *
           std::max<std::uint64_t>(1, space.by_router[r].size());
     } else {
-      // Filter-aware relaxed bound: an edge whose export filter denies
-      // lengths below d passes only paths of length >= d out of the
-      // plausible 1..max_path_length, so attenuate its per-edge path cap
-      // proportionally (kDenyAll -> 0).  This is what keeps per-prefix
-      // cost variance alive when every working set degrades to the same
-      // relaxed component -- the prefixes still differ in their filters.
+      // Filter-aware relaxed bound (relaxed_edge_cost): this is what keeps
+      // per-prefix cost variance alive when every working set degrades to
+      // the same relaxed component -- the prefixes still differ in their
+      // filters.
       for (const Model::Dense peer : model.peers(r)) {
         const topo::ExportFilter* filter =
             model.find_export_filter(r, peer, policy);
-        const std::uint64_t denied =
-            filter == nullptr
-                ? 0
-                : std::min<std::uint64_t>(filter->deny_below_len, max_len);
-        ws.bounded_messages += options.space.max_paths_per_router *
-                               (max_len - denied) / max_len;
+        ws.bounded_messages += relaxed_edge_cost(
+            filter == nullptr ? 0 : filter->deny_below_len, options.space);
       }
     }
   }

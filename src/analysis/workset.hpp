@@ -77,6 +77,22 @@ struct PrefixWorkset {
   bool contains(topo::Model::Dense r) const { return members[r] != 0; }
 };
 
+/// The relaxed cost model's per-edge term: the per-router enumeration cap
+/// attenuated by the edge's export-filter threshold (a deny-below-d filter
+/// passes only lengths >= d of the plausible 1..max_path_length, kDenyAll
+/// passes none; 0 is no filter).
+std::uint64_t relaxed_edge_cost(std::uint32_t deny_below_len,
+                                const RouteSpaceOptions& space);
+
+/// The relaxed cost formula evaluated on a simulation view: members x the
+/// sum of relaxed_edge_cost over its in-set edges.  Edges leaving a
+/// relaxed working set are kDenyAll and price 0, so for the view built
+/// from the relaxed bound under agnostic engine options this equals
+/// compute_working_set(exact = false).cost -- the refinement sweep's
+/// predicted per-prefix cost without recomputing the working set.
+std::uint64_t view_cost(const bgp::PrefixView& view,
+                        const RouteSpaceOptions& space = {});
+
 /// Computes the working set of (prefix, origin) against the engine's model
 /// and options.  `cache`, when non-null, serves/stores the relaxed bound
 /// (only consulted when the exact pass truncates or is disabled).  `diags`,

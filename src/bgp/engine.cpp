@@ -11,11 +11,10 @@ using topo::NeighborClass;
 using topo::PrefixPolicy;
 
 const RouterState& PrefixSimResult::state(Model::Dense r) const {
-  // Non-members of a compacted run hold no storage; a full run provably
+  // Non-members of a working-set view hold no storage; a full run provably
   // leaves them with exactly this default-empty state (every import into
   // them fails), so the shared empty state IS their simulated outcome.
   static const RouterState kEmpty;
-  if (view == nullptr || view->identity) return routers[r];
   const std::uint32_t c = view->compact_of[r];
   return c == PrefixView::kNoCompact ? kEmpty : routers[c];
 }
@@ -53,9 +52,46 @@ std::shared_ptr<const SimContext> Engine::context() const {
       const auto& peers = model_->peers(r);
       ctx->peer_flat.insert(ctx->peer_flat.end(), peers.begin(), peers.end());
     }
+    if (options_.use_relationship_policies) {
+      ctx->session_lp.reserve(total);
+      ctx->session_gated.reserve(total);
+    }
+    if (options_.use_igp_cost) ctx->session_igp.reserve(total);
+    const bool session_attrs =
+        options_.use_relationship_policies || options_.use_igp_cost;
+    for (Model::Dense r = 0; session_attrs && r < n; ++r) {
+      const nb::Asn from_as = ctx->asn_of[r];
+      for (const Model::Dense peer : ctx->peers(r)) {
+        const nb::Asn to_as = ctx->asn_of[peer];
+        if (options_.use_relationship_policies) {
+          const NeighborClass to_class =
+              model_->neighbor_class(from_as, to_as);
+          ctx->session_gated.push_back(to_class == NeighborClass::kPeer ||
+                                       to_class == NeighborClass::kProvider);
+          ctx->session_lp.push_back(
+              relationship_local_pref(model_->neighbor_class(to_as, from_as)));
+        }
+        if (options_.use_igp_cost)
+          ctx->session_igp.push_back(model_->igp_cost(peer, r));
+      }
+    }
     context_ = std::move(ctx);
   }
   return context_;
+}
+
+std::uint32_t Engine::relationship_local_pref(NeighborClass cls) const {
+  switch (cls) {
+    case NeighborClass::kCustomer:
+      return options_.lp_customer;
+    case NeighborClass::kPeer:
+      return options_.lp_peer;
+    case NeighborClass::kProvider:
+      return options_.lp_provider;
+    case NeighborClass::kUnknown:
+      break;
+  }
+  return options_.lp_unknown;
 }
 
 bool Engine::propagate_into(const PrefixPolicy* policy, Model::Dense from,
@@ -102,23 +138,10 @@ bool Engine::propagate_into(const PrefixPolicy* policy, Model::Dense from,
 
   out.sender = from;
   out.ibgp = false;
-  out.local_pref = kDefaultLocalPref;
-  if (options_.use_relationship_policies) {
-    switch (model_->neighbor_class(to_as, from_as)) {
-      case NeighborClass::kCustomer:
-        out.local_pref = options_.lp_customer;
-        break;
-      case NeighborClass::kPeer:
-        out.local_pref = options_.lp_peer;
-        break;
-      case NeighborClass::kProvider:
-        out.local_pref = options_.lp_provider;
-        break;
-      case NeighborClass::kUnknown:
-        out.local_pref = options_.lp_unknown;
-        break;
-    }
-  }
+  out.local_pref = options_.use_relationship_policies
+                       ? relationship_local_pref(
+                             model_->neighbor_class(to_as, from_as))
+                       : kDefaultLocalPref;
   out.med = topo::kDefaultMed;
   bool has_prefix_ranking = false;
   if (policy != nullptr) {
@@ -151,9 +174,15 @@ bool Engine::propagate_into(const PrefixPolicy* policy, Model::Dense from,
 std::optional<Route> Engine::propagate(const PrefixPolicy* policy,
                                        Model::Dense from, Model::Dense to,
                                        const Route& best) const {
-  const std::shared_ptr<const SimContext> ctx = context();
+  return propagate(*context(), policy, from, to, best);
+}
+
+std::optional<Route> Engine::propagate(const SimContext& ctx,
+                                       const PrefixPolicy* policy,
+                                       Model::Dense from, Model::Dense to,
+                                       const Route& best) const {
   Route out;
-  if (!propagate_into(policy, from, to, best.path, *ctx, out)) {
+  if (!propagate_into(policy, from, to, best.path, ctx, out)) {
     return std::nullopt;
   }
   return out;
@@ -284,45 +313,51 @@ PrefixSimResult Engine::run(const Prefix& prefix, nb::Asn origin,
                             std::vector<char>* activated) const {
   PrefixSimResult res;
   SimMemory memory;
-  run_into(prefix, origin, memory, counters, activated, res);
+  run_into(identity_view(prefix, origin), memory, counters, activated, res);
   return res;
 }
 
-void Engine::run_into(const Prefix& prefix, nb::Asn origin, SimMemory& mem,
+void Engine::run_into(std::shared_ptr<const PrefixView> view, SimMemory& mem,
                       SimCounters* counters, std::vector<char>* activated,
                       PrefixSimResult& res) const {
+  const PrefixView& v = *view;
+  RD_CHECK(v.epoch == model_->generation(),
+           "Engine::run_into: view is stale (model mutated)");
   // Instrumentation accumulates in locals unconditionally (register
   // increments, negligible next to message processing) and is stored
   // through `counters` only at the end, keeping the uninstrumented path
   // byte- and perf-identical.
   SimCounters tally;
-  res.prefix = prefix;
-  res.origin = origin;
-  res.view = nullptr;
+  res.prefix = v.prefix;
+  res.origin = v.origin;
   res.converged = true;
   res.messages = 0;
-  const std::size_t n = model_->num_routers();
-  if (activated != nullptr) activated->assign(n, 0);
+  const std::size_t m = v.members.size();
+  res.view = std::move(view);
+  if (activated != nullptr) activated->assign(v.compact_of.size(), 0);
 
-  const PrefixPolicy* policy = model_->find_policy(prefix);
   const std::shared_ptr<const SimContext> ctx_ptr = context();
-  const SimContext& ctx = *ctx_ptr;
-  const std::span<const std::uint32_t> ids(ctx.ids);
+  const std::span<const std::uint32_t> ids(ctx_ptr->ids);
 
+  // The divergence-guard threshold is a property of the full model, not of
+  // the view.
   const std::uint64_t message_cap =
       options_.message_cap_factor *
       std::max<std::uint64_t>(model_->num_sessions(), 1);
   res.message_cap = message_cap;
 
-  // Region capacities: sessions are symmetric (the linter enforces M101),
-  // so a router's possible senders are exactly its peers, plus its AS-mates
-  // in ibgp-mesh mode; the +1 for self-origination is SimMemory's.
-  mem.begin(n);
-  for (Model::Dense r = 0; r < n; ++r) {
-    std::size_t fan_in = ctx.peers(r).size();
-    if (options_.use_ibgp_mesh)
-      fan_in += model_->routers_of(ctx.asn_of[r]).size() - 1;
-    mem.set_fan_in(r, static_cast<std::uint32_t>(fan_in));
+  // Region capacity per member: only in-set edges and mates can install a
+  // RIB row, and sessions are symmetric (the linter enforces M101), so a
+  // member's in-set in-degree equals its in-set out-degree; the +1 for
+  // self-origination is SimMemory's.  The hash-index heuristic looks at
+  // the FULL fan-in (phantom peers included), exactly as in the identity
+  // view.  Slots are keyed by compact index; senders stay dense indices so
+  // decision tie-breaks and every consumer read identical ids.
+  mem.begin(m);
+  for (std::uint32_t c = 0; c < m; ++c) {
+    const std::uint32_t in_set = v.edge_offset[c + 1] - v.edge_offset[c] +
+                                 v.mate_offset[c + 1] - v.mate_offset[c];
+    mem.set_fan_in(c, in_set, in_set + v.phantom[c]);
   }
   mem.finish_setup();
 
@@ -330,43 +365,52 @@ void Engine::run_into(const Prefix& prefix, nb::Asn origin, SimMemory& mem,
   // empty path (sender = self, MED 0 so an origin router never prefers a
   // learned alternative -- vacuous anyway since the empty path wins on
   // length).
-  for (Model::Dense r : model_->routers_of(origin)) {
+  for (const Model::Dense r : model_->routers_of(v.origin)) {
+    const std::uint32_t c = v.compact_of[r];
     ++tally.rib_inserts;
-    mem.push(r, SimMemory::Attrs{r, kDefaultLocalPref, 0, 0, false}, {});
-    mem.set_best(r, 0);
-    mem.set_best_external(r, 0);
-    mem.enqueue(r);
+    mem.push(c, SimMemory::Attrs{r, kDefaultLocalPref, 0, 0, false}, {});
+    mem.set_best(c, 0);
+    mem.set_best_external(c, 0);
+    mem.enqueue(c);
   }
 
   const bool ibgp_mesh = options_.use_ibgp_mesh;
+  const bool valley_free = options_.use_relationship_policies;
+  const bool igp_cost = options_.use_igp_cost;
   std::uint64_t messages = 0;
-
-  // Reused across every message; its path buffer's capacity persists, so
-  // steady-state propagation allocates nothing.
-  Route scratch;
+  // Reused across every message; its capacity persists, so steady-state
+  // propagation allocates nothing.
+  std::vector<Asn> path;
 
   while (!mem.queue_empty()) {
     if (messages > message_cap) {
       res.converged = false;
       break;
     }
-    const Model::Dense r = mem.pop_front();
+    const std::uint32_t c = mem.pop_front();
     ++tally.activations;
+    const Model::Dense r = v.members[c];
     if (activated != nullptr) (*activated)[r] = 1;
-    const std::uint32_t r_base = mem.begin_of(r);
-    // r's own region is never written during r's activation (every message
+    const nb::Asn from_as = v.member_asn[c];
+    // c's own region is never written during c's activation (every message
     // targets a mate or peer), so these relative indices stay valid; path
     // SPANS are re-derived at each use because pushes can move the arena.
-    const int r_best = mem.best(r);
+    const std::uint32_t c_base = mem.begin_of(c);
+    const int c_best = mem.best(c);
+
+    // Out-of-set peers: the identity view visits them, charges one message
+    // each, and provably changes nothing (the import always fails and
+    // their empty RIB-In has nothing to withdraw).  Only the charge remains.
+    messages += v.phantom[c];
 
     // iBGP mesh: push this router's best external route to its AS-mates.
     if (ibgp_mesh) {
-      const int r_external = mem.best_external(r);
-      for (Model::Dense mate : model_->routers_of(ctx.asn_of[r])) {
-        if (mate == r) continue;
+      const int c_external = mem.best_external(c);
+      for (std::uint32_t e = v.mate_offset[c]; e < v.mate_offset[c + 1]; ++e) {
+        const std::uint32_t mate = v.mates[e].to;
         ++messages;
         const int slot = mem.find(mate, r);
-        if (r_external < 0) {
+        if (c_external < 0) {
           if (slot < 0) continue;
           const Selection old = snapshot(mem, mate);
           ++tally.withdrawals;
@@ -376,10 +420,9 @@ void Engine::run_into(const Prefix& prefix, nb::Asn origin, SimMemory& mem,
           continue;
         }
         const std::uint32_t external =
-            r_base + static_cast<std::uint32_t>(r_external);
+            c_base + static_cast<std::uint32_t>(c_external);
         const RouteView ext = mem.view_at(external);
-        const std::uint32_t igp =
-            options_.use_igp_cost ? model_->igp_cost(mate, r) : 0;
+        const std::uint32_t igp = v.mates[e].igp_cost;
         if (slot >= 0) {
           const std::uint32_t row =
               mem.row(mate, static_cast<std::uint32_t>(slot));
@@ -409,57 +452,86 @@ void Engine::run_into(const Prefix& prefix, nb::Asn origin, SimMemory& mem,
       }
     }
 
-    for (const Model::Dense peer : ctx.peers(r)) {
-      ++messages;
-      const bool has_incoming =
-          r_best >= 0 &&
-          propagate_into(policy, r, peer,
-                         mem.path_at(r_base + static_cast<std::uint32_t>(r_best)),
-                         ctx, scratch);
+    // Valley-free export, the route-dependent half: a route learned from a
+    // peer or provider crosses only the edges the view left ungated.
+    // Unknown classes are permissive (the paper's agnostic stance: absent
+    // information must not disconnect).
+    bool customer_route = true;
+    if (valley_free && c_best >= 0) {
+      const std::span<const Asn> best_path =
+          mem.path_at(c_base + static_cast<std::uint32_t>(c_best));
+      if (!best_path.empty()) {
+        const NeighborClass learned =
+            model_->neighbor_class(from_as, best_path.front());
+        customer_route = learned == NeighborClass::kCustomer ||
+                         learned == NeighborClass::kUnknown;
+      }
+    }
 
-      const int slot = mem.find(peer, r);
+    const std::uint32_t edges_end = v.edge_offset[c + 1];
+    for (std::uint32_t e = v.edge_offset[c]; e < edges_end; ++e) {
+      const PrefixView::Edge& edge = v.edges[e];
+      ++messages;
+
+      // Export + import over the pre-resolved edge: valley-free gate,
+      // receiver-side AS-loop detection, filter threshold.  The best path
+      // span is re-derived per edge -- pushes can move the hop arena.
+      bool has_incoming = false;
+      if (c_best >= 0 && (customer_route || !edge.customer_routes_only)) {
+        const std::span<const Asn> best_path =
+            mem.path_at(c_base + static_cast<std::uint32_t>(c_best));
+        const nb::Asn to_as = v.member_asn[edge.to];
+        if (to_as != from_as && !path_contains(best_path, to_as) &&
+            best_path.size() + 1 >= edge.deny_below_len) {
+          path.clear();
+          path.push_back(from_as);
+          path.insert(path.end(), best_path.begin(), best_path.end());
+          has_incoming = true;
+        }
+      }
+
+      const int slot = mem.find(edge.to, r);
 
       if (!has_incoming) {
         if (slot < 0) continue;  // nothing to withdraw
-        const Selection old = snapshot(mem, peer);
+        const Selection old = snapshot(mem, edge.to);
         ++tally.withdrawals;
-        mem.erase(peer, slot);
-        if (reselect(mem, peer, ibgp_mesh, ids, old, r, false, tally))
-          mem.enqueue(peer);
+        mem.erase(edge.to, slot);
+        if (reselect(mem, edge.to, ibgp_mesh, ids, old, r, false, tally))
+          mem.enqueue(edge.to);
         continue;
       }
+      const SimMemory::Attrs attrs{
+          r, edge.local_pref,
+          edge.preferred ? topo::kPreferredMed : topo::kDefaultMed,
+          igp_cost ? v.edge_igp[e] : 0, false};
       if (slot >= 0) {
-        const std::uint32_t row = mem.row(peer, static_cast<std::uint32_t>(slot));
+        const std::uint32_t row =
+            mem.row(edge.to, static_cast<std::uint32_t>(slot));
         const RouteView existing = mem.view_at(row);
-        const bool same_path = mem.path_equals(row, scratch.path);
-        if (same_path && existing.local_pref == scratch.local_pref &&
-            existing.med == scratch.med &&
-            existing.igp_cost == scratch.igp_cost) {
+        const bool same_path = mem.path_equals(row, path);
+        if (same_path && existing.local_pref == attrs.local_pref &&
+            existing.med == attrs.med && existing.igp_cost == attrs.igp_cost) {
           continue;  // unchanged advertisement
         }
-        const Selection old = snapshot(mem, peer);
+        const Selection old = snapshot(mem, edge.to);
         ++tally.rib_replacements;
-        mem.set_attrs(row, SimMemory::Attrs{scratch.sender, scratch.local_pref,
-                                            scratch.med, scratch.igp_cost,
-                                            false});
-        if (!same_path) mem.set_path(row, scratch.path);
-        if (reselect(mem, peer, ibgp_mesh, ids, old, r, !same_path, tally))
-          mem.enqueue(peer);
+        mem.set_attrs(row, attrs);
+        if (!same_path) mem.set_path(row, path);
+        if (reselect(mem, edge.to, ibgp_mesh, ids, old, r, !same_path, tally))
+          mem.enqueue(edge.to);
       } else {
-        const Selection old = snapshot(mem, peer);
+        const Selection old = snapshot(mem, edge.to);
         ++tally.rib_inserts;
-        mem.push(peer,
-                 SimMemory::Attrs{scratch.sender, scratch.local_pref,
-                                  scratch.med, scratch.igp_cost, false},
-                 scratch.path);
-        if (reselect(mem, peer, ibgp_mesh, ids, old, r, false, tally))
-          mem.enqueue(peer);
+        mem.push(edge.to, attrs, path);
+        if (reselect(mem, edge.to, ibgp_mesh, ids, old, r, false, tally))
+          mem.enqueue(edge.to);
       }
     }
   }
   res.messages = messages;
   res.activations = tally.activations;
-  export_state(mem, n, res.routers);
+  export_state(mem, m, res.routers);
   if (counters != nullptr) {
     tally.messages = messages;
     *counters = tally;
@@ -469,17 +541,22 @@ void Engine::run_into(const Prefix& prefix, nb::Asn origin, SimMemory& mem,
 std::shared_ptr<const PrefixView> Engine::build_view(
     const Prefix& prefix, nb::Asn origin,
     const std::vector<char>& workset) const {
-  // The specialized loop resolves every import attribute per edge; the
-  // relationship (valley-free depends on where the route was learned), IGP
-  // and iBGP modes make attributes or fan-out route-dependent.
-  if (options_.use_relationship_policies || options_.use_igp_cost ||
-      options_.use_ibgp_mesh) {
-    return nullptr;
-  }
+  RD_CHECK(workset.size() == model_->num_routers(),
+           "Engine::build_view: workset size mismatch");
+  return make_view(prefix, origin, &workset);
+}
+
+std::shared_ptr<const PrefixView> Engine::identity_view(const Prefix& prefix,
+                                                        nb::Asn origin) const {
+  return make_view(prefix, origin, nullptr);
+}
+
+std::shared_ptr<const PrefixView> Engine::make_view(
+    const Prefix& prefix, nb::Asn origin,
+    const std::vector<char>* workset) const {
   const std::shared_ptr<const SimContext> ctx_ptr = context();
   const SimContext& ctx = *ctx_ptr;
   const std::size_t n = model_->num_routers();
-  RD_CHECK(workset.size() == n, "Engine::build_view: workset size mismatch");
 
   auto view = std::make_shared<PrefixView>();
   view->epoch = model_->generation();
@@ -487,7 +564,7 @@ std::shared_ptr<const PrefixView> Engine::build_view(
   view->origin = origin;
   view->compact_of.assign(n, PrefixView::kNoCompact);
   for (Model::Dense r = 0; r < n; ++r) {
-    if (workset[r] == 0) continue;
+    if (workset != nullptr && (*workset)[r] == 0) continue;
     view->compact_of[r] = static_cast<std::uint32_t>(view->members.size());
     view->members.push_back(r);
   }
@@ -500,13 +577,15 @@ std::shared_ptr<const PrefixView> Engine::build_view(
   const PrefixPolicy* policy = model_->find_policy(prefix);
   const std::size_t m = view->members.size();
   view->member_asn.resize(m);
-  view->edge_offset.resize(m + 1, 0);
+  view->edge_offset.assign(m + 1, 0);
+  view->mate_offset.assign(m + 1, 0);
   view->phantom.assign(m, 0);
+  if (view->identity) view->edges.reserve(ctx.peer_flat.size());
 
   // Receiver-side MED preference, hoisted per member: the per-prefix
   // ranking override if present, else the router's default ranking --
-  // exactly how propagate_into resolves MED in agnostic mode, but paying
-  // at most two hash probes per MEMBER instead of per edge.
+  // exactly how propagate_into resolves MED, but paying at most two hash
+  // probes per MEMBER instead of per edge.
   std::vector<nb::Asn> med_pref(m, nb::kInvalidAsn);
   const bool has_rankings = policy != nullptr && !policy->rankings.empty();
   for (std::size_t c = 0; c < m; ++c) {
@@ -522,15 +601,19 @@ std::shared_ptr<const PrefixView> Engine::build_view(
     med_pref[c] = model_->default_ranking(r);
   }
 
-  // lp_overrides are ground-truth-only (refinement never creates them), so
-  // the fitted-model sweep skips the per-edge probe entirely.
+  // lp_overrides and export_allows are ground-truth-only (refinement never
+  // creates them), so the fitted-model sweep skips those probes entirely.
+  const bool relationship = options_.use_relationship_policies;
   const bool has_lp = policy != nullptr && !policy->lp_overrides.empty();
-
+  const bool has_allows =
+      relationship && policy != nullptr && !policy->export_allows.empty();
   for (std::size_t c = 0; c < m; ++c) {
     const Model::Dense r = view->members[c];
     view->edge_offset[c] = static_cast<std::uint32_t>(view->edges.size());
     const nb::Asn from_as = view->member_asn[c];
-    for (const Model::Dense peer : ctx.peers(r)) {
+    for (std::uint32_t k = ctx.peer_offset[r]; k < ctx.peer_offset[r + 1];
+         ++k) {
+      const Model::Dense peer = ctx.peer_flat[k];
       const std::uint32_t to_compact = view->compact_of[peer];
       if (to_compact == PrefixView::kNoCompact) {
         ++view->phantom[c];
@@ -538,6 +621,15 @@ std::shared_ptr<const PrefixView> Engine::build_view(
       }
       PrefixView::Edge edge;
       edge.to = to_compact;
+      if (relationship) {
+        edge.local_pref = ctx.session_lp[k];
+        edge.customer_routes_only =
+            ctx.session_gated[k] != 0 &&
+            !(has_allows &&
+              policy->export_allows.count(topo::session_key(
+                  nb::RouterId::from_value(ctx.ids[r]),
+                  nb::RouterId::from_value(ctx.ids[peer]))) > 0);
+      }
       if (has_lp) {
         const nb::RouterId to_id = nb::RouterId::from_value(ctx.ids[peer]);
         if (auto it =
@@ -546,11 +638,28 @@ std::shared_ptr<const PrefixView> Engine::build_view(
           edge.local_pref = it->second;
         }
       }
-      if (med_pref[to_compact] == from_as) edge.med = topo::kPreferredMed;
+      edge.preferred = med_pref[to_compact] == from_as;
       view->edges.push_back(edge);
+      if (options_.use_igp_cost) view->edge_igp.push_back(ctx.session_igp[k]);
+    }
+    if (options_.use_ibgp_mesh) {
+      view->mate_offset[c] = static_cast<std::uint32_t>(view->mates.size());
+      for (const Model::Dense mate : model_->routers_of(from_as)) {
+        if (mate == r) continue;
+        const std::uint32_t mate_compact = view->compact_of[mate];
+        if (mate_compact == PrefixView::kNoCompact) {
+          ++view->phantom[c];
+          continue;
+        }
+        view->mates.push_back(PrefixView::Mate{
+            mate_compact,
+            options_.use_igp_cost ? model_->igp_cost(mate, r) : 0});
+      }
     }
   }
   view->edge_offset[m] = static_cast<std::uint32_t>(view->edges.size());
+  if (options_.use_ibgp_mesh)
+    view->mate_offset[m] = static_cast<std::uint32_t>(view->mates.size());
 
   // Export filters, scattered from the policy map instead of probed per
   // edge: a prefix carries far fewer filters than the model has directed
@@ -579,162 +688,6 @@ std::shared_ptr<const PrefixView> Engine::build_view(
     }
   }
   return view;
-}
-
-PrefixSimResult Engine::run_compacted(std::shared_ptr<const PrefixView> view,
-                                      SimCounters* counters) const {
-  PrefixSimResult res;
-  SimMemory memory;
-  run_compacted_into(std::move(view), memory, counters, res);
-  return res;
-}
-
-void Engine::run_compacted_into(std::shared_ptr<const PrefixView> view,
-                                SimMemory& mem, SimCounters* counters,
-                                PrefixSimResult& res) const {
-  const PrefixView& v = *view;
-  RD_CHECK(v.epoch == model_->generation(),
-           "Engine::run_compacted: view is stale (model mutated)");
-  SimCounters tally;
-  res.prefix = v.prefix;
-  res.origin = v.origin;
-  res.converged = true;
-  res.messages = 0;
-  const std::size_t m = v.members.size();
-  res.view = std::move(view);
-
-  const std::shared_ptr<const SimContext> ctx_ptr = context();
-  const std::span<const std::uint32_t> ids(ctx_ptr->ids);
-
-  // Same divergence-guard threshold as run(): the cap is a property of the
-  // full model, not of the working set.
-  const std::uint64_t message_cap =
-      options_.message_cap_factor *
-      std::max<std::uint64_t>(model_->num_sessions(), 1);
-  res.message_cap = message_cap;
-
-  // Region capacity per member: only in-set edges can install a RIB row,
-  // and sessions are symmetric, so a member's in-set in-degree equals its
-  // in-set out-degree (the edge list length).  The hash-index heuristic
-  // mirrors run()'s FULL fan-in (in-set edges plus phantom peers) -- the
-  // choice is behaviorally neutral, but kept identical on principle.
-  // Slots are keyed by compact receiver; senders stay FULL dense indices so
-  // decision tie-breaks and every consumer read identical ids.
-  mem.begin(m);
-  for (std::uint32_t c = 0; c < m; ++c) {
-    const std::uint32_t in_set = v.edge_offset[c + 1] - v.edge_offset[c];
-    mem.set_fan_in(c, in_set, in_set + v.phantom[c]);
-  }
-  mem.finish_setup();
-
-  for (const Model::Dense r : model_->routers_of(res.origin)) {
-    const std::uint32_t c = v.compact_of[r];
-    ++tally.rib_inserts;
-    mem.push(c, SimMemory::Attrs{r, kDefaultLocalPref, 0, 0, false}, {});
-    mem.set_best(c, 0);
-    mem.set_best_external(c, 0);
-    mem.enqueue(c);
-  }
-
-  std::uint64_t messages = 0;
-  Route scratch;
-
-  while (!mem.queue_empty()) {
-    if (messages > message_cap) {
-      res.converged = false;
-      break;
-    }
-    const std::uint32_t c = mem.pop_front();
-    ++tally.activations;
-    const Model::Dense r = v.members[c];
-    const nb::Asn from_as = v.member_asn[c];
-    const std::uint32_t c_base = mem.begin_of(c);
-    const int c_best = mem.best(c);
-
-    // Out-of-set peers: the full run visits them, charges one message each,
-    // and provably changes nothing (the import always fails and their empty
-    // RIB-In has nothing to withdraw).  Only the message charge remains.
-    messages += v.phantom[c];
-
-    const std::uint32_t edges_end = v.edge_offset[c + 1];
-    for (std::uint32_t e = v.edge_offset[c]; e < edges_end; ++e) {
-      const PrefixView::Edge& edge = v.edges[e];
-      ++messages;
-
-      // Specialized propagate_into (agnostic mode): AS-loop check, filter
-      // threshold, then the pre-resolved import attributes.  The best path
-      // span is re-derived per edge -- pushes can move the hop arena.
-      bool has_incoming = false;
-      if (c_best >= 0) {
-        const std::span<const Asn> best_path =
-            mem.path_at(c_base + static_cast<std::uint32_t>(c_best));
-        const nb::Asn to_as = v.member_asn[edge.to];
-        if (to_as != from_as && !path_contains(best_path, to_as)) {
-          const std::size_t arriving_len = best_path.size() + 1;
-          if (arriving_len >= edge.deny_below_len) {
-            scratch.sender = r;
-            scratch.ibgp = false;
-            scratch.local_pref = edge.local_pref;
-            scratch.med = edge.med;
-            scratch.igp_cost = 0;
-            scratch.path.clear();
-            scratch.path.reserve(arriving_len);
-            scratch.path.push_back(from_as);
-            scratch.path.insert(scratch.path.end(), best_path.begin(),
-                                best_path.end());
-            has_incoming = true;
-          }
-        }
-      }
-
-      const int slot = mem.find(edge.to, r);
-
-      if (!has_incoming) {
-        if (slot < 0) continue;
-        const Selection old = snapshot(mem, edge.to);
-        ++tally.withdrawals;
-        mem.erase(edge.to, slot);
-        if (reselect(mem, edge.to, false, ids, old, r, false, tally))
-          mem.enqueue(edge.to);
-        continue;
-      }
-      if (slot >= 0) {
-        const std::uint32_t row =
-            mem.row(edge.to, static_cast<std::uint32_t>(slot));
-        const RouteView existing = mem.view_at(row);
-        const bool same_path = mem.path_equals(row, scratch.path);
-        if (same_path && existing.local_pref == scratch.local_pref &&
-            existing.med == scratch.med &&
-            existing.igp_cost == scratch.igp_cost) {
-          continue;
-        }
-        const Selection old = snapshot(mem, edge.to);
-        ++tally.rib_replacements;
-        mem.set_attrs(row, SimMemory::Attrs{scratch.sender, scratch.local_pref,
-                                            scratch.med, scratch.igp_cost,
-                                            false});
-        if (!same_path) mem.set_path(row, scratch.path);
-        if (reselect(mem, edge.to, false, ids, old, r, !same_path, tally))
-          mem.enqueue(edge.to);
-      } else {
-        const Selection old = snapshot(mem, edge.to);
-        ++tally.rib_inserts;
-        mem.push(edge.to,
-                 SimMemory::Attrs{scratch.sender, scratch.local_pref,
-                                  scratch.med, scratch.igp_cost, false},
-                 scratch.path);
-        if (reselect(mem, edge.to, false, ids, old, r, false, tally))
-          mem.enqueue(edge.to);
-      }
-    }
-  }
-  res.messages = messages;
-  res.activations = tally.activations;
-  export_state(mem, m, res.routers);
-  if (counters != nullptr) {
-    tally.messages = messages;
-    *counters = tally;
-  }
 }
 
 }  // namespace bgp

@@ -13,7 +13,9 @@
 // are enabled (Section 3.3 baseline / ground truth) and (b) per-prefix
 // deny-below-length filters (refinement).  Import applies receiver-side
 // AS-loop detection, local-pref (relationship class or per-prefix override)
-// and the per-prefix MED ranking.  Determinism: peers are visited in
+// and the per-prefix MED ranking.  Everything that depends only on the
+// session is resolved once per prefix into a PrefixView, which the one
+// simulation loop (run_into) walks.  Determinism: peers are visited in
 // router-id order and the queue is FIFO, so results are reproducible.
 #pragma once
 
@@ -83,12 +85,14 @@ struct RouterState {
   }
 };
 
-/// Compacted per-prefix simulation view (Engine::build_view): the members
-/// of a static working set with their in-set adjacency flattened, and the
-/// per-edge import attributes the agnostic engine recomputes per message
-/// (export filter threshold, local-pref override, MED ranking) resolved
-/// once.  run_compacted iterates this instead of the full model; see
-/// DESIGN.md section 12 for the byte-identity argument.
+/// Per-prefix simulation view (Engine::build_view / identity_view): the
+/// simulated routers with their adjacency flattened, and every attribute
+/// that depends only on (prefix, session) resolved once -- export filter
+/// threshold, valley-free gate, local-pref, MED ranking and IGP cost --
+/// so Engine::run_into never probes a policy map per message.  A full run
+/// is the identity view (every router a member, slot == dense index); a
+/// working-set view (analysis/workset.hpp) keeps only the routers a full
+/// run can ever activate.  See DESIGN.md section 12.
 struct PrefixView {
   static constexpr std::uint32_t kNoCompact = 0xffffffffu;
 
@@ -100,36 +104,57 @@ struct PrefixView {
   std::vector<nb::Asn> member_asn;      // compact index -> owning AS
 
   /// One in-set directed session with its import attributes pre-resolved
-  /// for this prefix (receiver side, routes from the sender's AS).
+  /// for this prefix (receiver side, routes from the sender's AS).  Kept
+  /// at 16 bytes: a sweep holds one view per active prefix.
   struct Edge {
     std::uint32_t to = 0;              // compact receiver index
     std::uint32_t deny_below_len = 0;  // 0: no filter; kDenyAll drops all
     std::uint32_t local_pref = kDefaultLocalPref;
-    std::uint32_t med = topo::kDefaultMed;
+    /// The receiver ranks the sender's AS first (per-prefix ranking, else
+    /// its default ranking): MED kPreferredMed instead of kDefaultMed.
+    bool preferred = false;
+    /// Valley-free export gate (relationship policies): the receiver is a
+    /// peer or provider of the sender and no export-allow exempts the
+    /// session, so only routes learned from a customer (or originated)
+    /// cross it.  The route-dependent half is checked per activation.
+    bool customer_routes_only = false;
   };
   /// edge_offset[c] .. edge_offset[c+1] delimit member c's in-set edges in
   /// `edges`, preserving Model::peers order restricted to members.
   std::vector<std::uint32_t> edge_offset;
   std::vector<Edge> edges;
-  /// Out-of-set peers per member.  The full run charges one message per
-  /// peer visited -- including peers whose import provably fails -- and the
-  /// divergence guard reads that total, so the compacted run adds these
-  /// counts at each activation to keep the message totals identical.
+  /// EngineOptions::use_igp_cost only: the IGP cost of each edge (parallel
+  /// to `edges`); empty otherwise.
+  std::vector<std::uint32_t> edge_igp;
+  /// An in-set AS-mate of an iBGP-mesh member and the IGP cost it
+  /// assigns to routes pushed from that member.
+  struct Mate {
+    std::uint32_t to = 0;  // compact index
+    std::uint32_t igp_cost = 0;
+  };
+  /// EngineOptions::use_ibgp_mesh only: mate_offset[c] .. mate_offset[c+1]
+  /// delimit member c's in-set AS-mates in `mates` (Model::routers_of
+  /// order); all zero otherwise.
+  std::vector<std::uint32_t> mate_offset;
+  std::vector<Mate> mates;
+  /// Out-of-set peers (and mates) per member.  The full run charges one
+  /// message per peer visited -- including peers whose import provably
+  /// fails -- and the divergence guard reads that total, so a working-set
+  /// run adds these counts at each activation to keep the message totals
+  /// identical.  All zero in the identity view.
   std::vector<std::uint32_t> phantom;
-  /// Every router is a member: compaction degenerates to the specialized
-  /// inner loop and storage slots equal dense indices.
+  /// Every router is a member: storage slots equal dense indices.
   bool identity = false;
 };
 
 struct PrefixSimResult {
   Prefix prefix;
   nb::Asn origin = nb::kInvalidAsn;
-  /// Per-router outcomes.  Without `view` (Engine::run) this is indexed by
-  /// dense router index; with a non-identity `view` (run_compacted) it is
-  /// indexed by compact working-set index -- use state()/full_index() to
-  /// stay dense-agnostic.
+  /// Per-router outcomes, indexed by the view's compact index -- the
+  /// dense router index for identity views.  Use state()/full_index() to
+  /// stay index-agnostic.
   std::vector<RouterState> routers;
-  /// The compacted view this result was simulated over; null for full runs.
+  /// The view this result was simulated over.
   std::shared_ptr<const PrefixView> view;
   bool converged = true;
   std::uint64_t messages = 0;
@@ -143,22 +168,17 @@ struct PrefixSimResult {
   std::uint64_t message_cap = 0;
 
   /// Number of dense router indices state() accepts -- the model's router
-  /// count at run time, with or without compaction.
-  std::size_t dense_size() const {
-    return view == nullptr ? routers.size() : view->compact_of.size();
-  }
-  /// True when `r`'s state was simulated (always, for full runs).  Routers
-  /// outside a compacted view's working set provably end every full run
-  /// with the default-empty state, which state() returns for them.
+  /// count at run time, whatever the view.
+  std::size_t dense_size() const { return view->compact_of.size(); }
+  /// True when `r`'s state was simulated (always, for identity views).
+  /// Routers outside a working-set view provably end every full run with
+  /// the default-empty state, which state() returns for them.
   bool covered(Model::Dense r) const {
-    return view == nullptr || view->identity ||
-           view->compact_of[r] != PrefixView::kNoCompact;
+    return view->compact_of[r] != PrefixView::kNoCompact;
   }
   /// Dense router index described by storage slot `routers[slot]`.
   Model::Dense full_index(std::size_t slot) const {
-    return view == nullptr || view->identity
-               ? static_cast<Model::Dense>(slot)
-               : view->members[slot];
+    return view->members[slot];
   }
   const RouterState& state(Model::Dense r) const;
 };
@@ -192,8 +212,9 @@ std::vector<std::uint32_t> dense_ids(const Model& model);
 class SimMemory;
 
 /// Model-derived state every run() against the same model version shares:
-/// dense router ids, per-router AS numbers and the per-router peer lists
-/// flattened into one contiguous span array.  Built once per model epoch
+/// dense router ids, per-router AS numbers, the per-router peer lists
+/// flattened into one contiguous span array and the model-only attributes
+/// of each of those sessions.  Built once per model epoch
 /// (Model::generation()) instead of per run() call, and immutable once
 /// published, so concurrent simulations can share a single instance.
 struct SimContext {
@@ -204,6 +225,17 @@ struct SimContext {
   /// ascending by RouterId (same order as Model::peers).
   std::vector<std::uint32_t> peer_offset;
   std::vector<Model::Dense> peer_flat;
+  /// Per directed session (parallel to peer_flat: entry k is the session
+  /// from r to peer_flat[k]), the import attributes that depend on the
+  /// model alone, resolved once per epoch so every view of that epoch
+  /// copies them instead of probing the model per prefix.  Relationship
+  /// policies: the receiver's local-pref for the sender's class
+  /// (session_lp) and whether the receiver is the sender's peer or
+  /// provider (session_gated, the valley-free gate before per-prefix
+  /// export-allows).  IGP costs: session_igp.  Empty when the option is off.
+  std::vector<std::uint32_t> session_lp;
+  std::vector<char> session_gated;
+  std::vector<std::uint32_t> session_igp;
 
   std::span<const Model::Dense> peers(Model::Dense r) const {
     return {peer_flat.data() + peer_offset[r],
@@ -216,52 +248,42 @@ class Engine {
   explicit Engine(const Model& model, EngineOptions options = {});
 
   /// Simulates propagation of `prefix` originated by all routers of
-  /// `origin`.  Re-reads the model on every call, so model mutations between
-  /// calls (refinement) are picked up.  `counters`, when non-null, receives
-  /// hot-loop instrumentation (see SimCounters); the result is bit-for-bit
-  /// the same with or without it.  `activated`, when non-null, is resized
-  /// to the router count and flags every dense index the run popped off the
-  /// dirty queue -- the dynamic ground truth the static working set
-  /// (analysis/workset.hpp) must over-approximate; pure observation, same
-  /// contract as `counters`.
+  /// `origin` over the identity view, in a temporary arena -- the
+  /// allocating convenience around run_into.  Re-reads the model on every
+  /// call, so model mutations between calls (refinement) are picked up.
   PrefixSimResult run(const Prefix& prefix, nb::Asn origin,
                       SimCounters* counters = nullptr,
                       std::vector<char>* activated = nullptr) const;
 
-  /// run() into caller-owned storage: `memory` supplies every per-run
-  /// buffer (and keeps them for the next call -- a sweep reuses one
-  /// instance per worker), `out` is overwritten with the result and its
-  /// rib_in / path capacities are likewise recycled.  Bit-for-bit the
-  /// same outcome as run() for any SimMemory history.
-  void run_into(const Prefix& prefix, nb::Asn origin, SimMemory& memory,
+  /// The simulation loop.  Propagates `view->prefix` from `view->origin`
+  /// over the view's members; `memory` supplies every per-run buffer (and
+  /// keeps them for the next call -- a sweep reuses one instance per
+  /// worker), `out` is overwritten with the result and its rib_in / path
+  /// capacities are likewise recycled.  The view must come from
+  /// build_view / identity_view against the model's CURRENT generation.
+  /// `counters`, when non-null, receives hot-loop instrumentation (see
+  /// SimCounters).  `activated`, when non-null, is resized to the router
+  /// count and flags every dense index the run popped off the dirty queue
+  /// -- the dynamic ground truth the static working set
+  /// (analysis/workset.hpp) must over-approximate.  Both are pure
+  /// observation: the result is bit-for-bit the same with or without them,
+  /// for any SimMemory history, and for any sound working-set view every
+  /// member ends with the state the identity view gives it.
+  void run_into(std::shared_ptr<const PrefixView> view, SimMemory& memory,
                 SimCounters* counters, std::vector<char>* activated,
                 PrefixSimResult& out) const;
 
   /// Compiles `workset` (dense-indexed membership flags; routers outside it
   /// must be unable to ever import a route for the prefix, e.g. a working
-  /// set from analysis::compute_working_set) into a compacted simulation
-  /// view for the model's CURRENT generation.  Returns nullptr when the
-  /// engine options rule out the specialized loop (relationship policies,
-  /// IGP costs and the iBGP mesh make import attributes route-dependent, so
-  /// they cannot be resolved per edge) -- callers fall back to run().
+  /// set from analysis::compute_working_set) into a simulation view for
+  /// the model's CURRENT generation, resolving every per-session attribute
+  /// under this engine's options.
   std::shared_ptr<const PrefixView> build_view(
       const Prefix& prefix, nb::Asn origin,
       const std::vector<char>& workset) const;
-
-  /// run() over a compacted view: identical RouterStates, message and
-  /// activation totals and convergence flag for every member router (and
-  /// non-members provably keep the default-empty state a full run also
-  /// leaves them with), touching only working-set state and using the
-  /// view's pre-resolved per-edge attributes instead of per-message policy
-  /// lookups.  The view must come from build_view against the model's
-  /// current generation.
-  PrefixSimResult run_compacted(std::shared_ptr<const PrefixView> view,
-                                SimCounters* counters = nullptr) const;
-
-  /// run_compacted() into caller-owned storage; same contract as run_into.
-  void run_compacted_into(std::shared_ptr<const PrefixView> view,
-                          SimMemory& memory, SimCounters* counters,
-                          PrefixSimResult& out) const;
+  /// build_view over every router: the view a full run simulates.
+  std::shared_ptr<const PrefixView> identity_view(const Prefix& prefix,
+                                                  nb::Asn origin) const;
 
   /// The simulation context for the model's CURRENT generation, (re)building
   /// it if the model mutated since the last call.  Thread-safe: concurrent
@@ -272,10 +294,20 @@ class Engine {
 
   /// One hop of propagation in isolation: the route `to` would install if
   /// `from` advertised `best` over their session right now, or nullopt when
-  /// export rules, filters or loop detection drop it.  This is exactly the
-  /// export+import path `run` uses; analysis::check_convergence replays it
+  /// export rules, filters or loop detection drop it.  This is the
+  /// reference semantics the per-edge resolution in build_view and the
+  /// run_into loop must reproduce; analysis::check_convergence replays it
   /// per session to prove a simulation result is a fixed point.
   std::optional<Route> propagate(const topo::PrefixPolicy* policy,
+                                 Model::Dense from, Model::Dense to,
+                                 const Route& best) const;
+  /// propagate() against a context the caller already holds (context() of
+  /// the model's current generation): the same route, without the
+  /// per-call context lookup, whose mutex and shared reference count
+  /// serialize concurrent callers -- hot analyzers (route_space, the
+  /// convergence replay) take the context once and call this.
+  std::optional<Route> propagate(const SimContext& ctx,
+                                 const topo::PrefixPolicy* policy,
                                  Model::Dense from, Model::Dense to,
                                  const Route& best) const;
 
@@ -283,18 +315,23 @@ class Engine {
   const EngineOptions& options() const { return options_; }
 
  private:
-  /// The single implementation behind propagate() and the run() hot loop:
-  /// export gating (valley-free rule, filters), receiver-side loop
-  /// detection, and import attribute rewrite, writing the resulting route
-  /// into `out` (whose path buffer is REUSED across calls -- no per-message
-  /// allocation once its capacity has grown).  The advertised best route
-  /// enters as its AS-path alone (`best_path`, empty iff originated) --
-  /// the decision process rewrites every other attribute on import, so
-  /// the path is all the SoA hot loop needs to hand over.  Returns false
-  /// when the route would be dropped, leaving `out` unspecified.
+  /// The implementation behind propagate(): export gating (valley-free
+  /// rule, filters), receiver-side loop detection, and import attribute
+  /// rewrite, writing the resulting route into `out`.  The advertised best
+  /// route enters as its AS-path alone (`best_path`, empty iff originated)
+  /// -- the decision process rewrites every other attribute on import.
+  /// Returns false when the route would be dropped, leaving `out`
+  /// unspecified.
   bool propagate_into(const topo::PrefixPolicy* policy, Model::Dense from,
                       Model::Dense to, std::span<const Asn> best_path,
                       const SimContext& ctx, Route& out) const;
+  /// Local-pref for routes from a neighbor of class `cls` under
+  /// relationship policies.
+  std::uint32_t relationship_local_pref(topo::NeighborClass cls) const;
+  /// build_view / identity_view: `workset` null means every router.
+  std::shared_ptr<const PrefixView> make_view(
+      const Prefix& prefix, nb::Asn origin,
+      const std::vector<char>* workset) const;
 
   const Model* model_;
   EngineOptions options_;

@@ -1,7 +1,7 @@
 // Reusable struct-of-arrays simulation storage (DESIGN.md section 13).
 //
-// One SimMemory instance holds every mutable byte a single Engine::run /
-// run_compacted needs: the per-slot Adj-RIB-In packed into dense column
+// One SimMemory instance holds every mutable byte a single Engine::run_into
+// needs: the per-slot Adj-RIB-In packed into dense column
 // arrays, AS-path hops in one bump-allocated arena, the FIFO dirty ring
 // and the sender->slot hash indices.  Buffers persist across runs -- a
 // refinement sweep hands each ThreadPool worker one instance and every
@@ -66,7 +66,7 @@ class SimMemory {
 
   /// `capacity_fan_in` bounds the distinct senders that can ever hold a RIB
   /// row in this slot; `index_fan_in` is the (possibly larger) message
-  /// fan-in the hash-index heuristic looks at -- run_compacted counts
+  /// fan-in the hash-index heuristic looks at -- a working-set view counts
   /// phantom peers there, which charge messages but never install rows.
   void set_fan_in(std::uint32_t slot, std::uint32_t capacity_fan_in,
                   std::uint32_t index_fan_in) {

@@ -42,8 +42,8 @@ std::uint64_t fingerprint_policy(const topo::Model& model, nb::Prefix prefix) {
 std::uint64_t fingerprint_selections(const bgp::PrefixSimResult& sim,
                                      std::span<const std::uint32_t> ids) {
   // Seeded by the DENSE router count and keyed by dense-index ids: a
-  // compacted result (PrefixSimResult::view) hashes identically to the
-  // full run it mirrors -- routers outside the working set hold no best
+  // working-set result (PrefixSimResult::view) hashes identically to the
+  // identity-view run it mirrors -- routers outside the working set hold no best
   // route in either, so they contribute nothing.
   std::uint64_t hash = mix_u64(sim.dense_size());
   for (std::size_t slot = 0; slot < sim.routers.size(); ++slot) {

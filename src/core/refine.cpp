@@ -11,14 +11,12 @@
 #include <stdexcept>
 #include <string>
 
-#include <atomic>
-
 #include "analysis/check_convergence.hpp"
 #include "analysis/dispute_graph.hpp"
-#include "analysis/partition.hpp"
 #include "analysis/policy_audit.hpp"
 #include "analysis/reachability_cache.hpp"
 #include "analysis/validate_model.hpp"
+#include "analysis/workset.hpp"
 #include "bgp/sim_memory.hpp"
 #include "bgp/threadpool.hpp"
 #include "core/fault_inject.hpp"
@@ -508,7 +506,7 @@ RefineResult refine_model(topo::Model& model,
 
   const std::uint64_t dataset_hash = dataset_fingerprint(training);
   const auto wall_start = std::chrono::steady_clock::now();
-  // Timestamp source for shard samples and sweep spans: the trace clock
+  // Timestamp source for sweep samples and sweep spans: the trace clock
   // when a sink is attached (so profiler spans align with phase spans in
   // the same file), the fit's own steady clock otherwise -- consistent
   // within one fit either way.
@@ -598,10 +596,11 @@ RefineResult refine_model(topo::Model& model,
       flight->record(0, obs::FlightEventType::kCheckpoint,
                      completed_iteration, saved ? 1 : 0);
   };
-  // Reachability bounds are shared with the shard planner and -- via
-  // RefineConfig::reachability_cache -- with callers that already computed
-  // worksets for this model in-process (rdtool plan | refine); the cache is
-  // generation-keyed, so a stale injected cache just misses.  Stats are
+  // Reachability bounds back the sweep's relaxed working-set views and --
+  // via RefineConfig::reachability_cache -- are shared with callers that
+  // already computed worksets for this model in-process (rdtool plan |
+  // refine); the cache is generation-keyed, so a stale injected cache just
+  // misses.  Stats are
   // reported as deltas against entry so a shared cache only charges this
   // fit's traffic.
   analysis::ReachabilityCache local_cache;
@@ -643,74 +642,6 @@ RefineResult refine_model(topo::Model& model,
     }
     return std::move(result);
   };
-
-  // Externally supplied shard plan (RefineConfig::shard_plan): its workset
-  // indices refer to compute_all_worksets order -- the INITIAL model's
-  // ascending AS list -- so it is only meaningful if its dataset
-  // fingerprint matches this model.  Verified once up front; executing a
-  // mismatched plan would silently mis-map prefixes to shards, so reject
-  // it loudly (A822, kFault) instead.  The check is against the pre-fit
-  // model on purpose: refinement adds routers, and the plan's shard
-  // ASSIGNMENT (origin -> shard) stays valid regardless because origins
-  // never change.
-  std::vector<std::size_t> work_shard;  // work index -> assigned shard
-  std::vector<std::uint64_t> work_cost;  // work index -> planned cost
-  if (config.shard_plan != nullptr) {
-    const analysis::ShardPlan& plan = *config.shard_plan;
-    const std::uint64_t model_fp = analysis::plan_fingerprint(model);
-    bool indices_ok = plan.num_shards > 0;
-    const std::vector<Asn> asns = model.asns();
-    for (const analysis::ShardPlan::Shard& shard : plan.shards) {
-      for (const std::size_t p : shard.prefixes)
-        indices_ok = indices_ok && p < asns.size();
-    }
-    if (plan.fingerprint != model_fp || !indices_ok) {
-      char have[17], want[17];
-      std::snprintf(have, sizeof have, "%016llx",
-                    static_cast<unsigned long long>(plan.fingerprint));
-      std::snprintf(want, sizeof want, "%016llx",
-                    static_cast<unsigned long long>(model_fp));
-      push_diag(analysis::Severity::kError,
-                analysis::codes::kPlanFingerprintMismatch, "shard-plan",
-                std::string("externally supplied shard plan does not match "
-                            "the model being refined (plan fingerprint ") +
-                    have + ", model " + want +
-                    (indices_ok ? "" : "; plan indexes past the AS list") +
-                    "); refusing to execute it");
-      result.stop = RefineStop::kFault;
-      if (flight != nullptr)
-        flight->record(0, obs::FlightEventType::kFault, 0, /*kind=*/1);
-      return finish();
-    }
-    // Map each work item's origin to its planned shard (and its planned
-    // per-prefix cost, so the profiler can price the shards the plan's
-    // assignment yields over each iteration's ACTIVE subset).  asns is
-    // ascending and plan index p names asns[p]'s prefix, so a binary
-    // search per work item resolves the assignment.  Origins a plan
-    // somehow omits default to shard 0 -- scheduling only, never
-    // correctness.  Plans predating Shard::prefix_costs price as 0.
-    std::vector<std::size_t> shard_of(asns.size(), 0);
-    std::vector<std::uint64_t> cost_of(asns.size(), 0);
-    for (std::size_t s = 0; s < plan.shards.size(); ++s) {
-      const analysis::ShardPlan::Shard& shard = plan.shards[s];
-      const bool priced = shard.prefix_costs.size() == shard.prefixes.size();
-      for (std::size_t j = 0; j < shard.prefixes.size(); ++j) {
-        shard_of[shard.prefixes[j]] = s;
-        if (priced) cost_of[shard.prefixes[j]] = shard.prefix_costs[j];
-      }
-    }
-    work_shard.resize(work.size(), 0);
-    work_cost.resize(work.size(), 0);
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      const auto it =
-          std::lower_bound(asns.begin(), asns.end(), work[i].origin);
-      if (it != asns.end() && *it == work[i].origin) {
-        const auto p = static_cast<std::size_t>(it - asns.begin());
-        work_shard[i] = shard_of[p];
-        work_cost[i] = cost_of[p];
-      }
-    }
-  }
 
   std::size_t start_iteration = 1;
   if (config.resume != nullptr) {
@@ -772,67 +703,54 @@ RefineResult refine_model(topo::Model& model,
   // shows one track per sweep worker (tid 0 is the serial refine track).
   const bool prefix_trace =
       trace != nullptr && trace->enabled(obs::TraceLevel::kPrefix);
-  // SimCounters are collected whenever anything consumes them: registry
-  // shards, the per-iteration rib_entries series, or per-prefix spans.
-  const bool counting =
-      reg != nullptr ||
-      (trace != nullptr && trace->enabled(obs::TraceLevel::kIteration));
-  // Named at kIteration (not just kPrefix): profile traces carry per-shard
-  // spans on the worker tracks at the default level, and Perfetto should
-  // label them.
-  if (trace != nullptr && trace->enabled(obs::TraceLevel::kIteration)) {
+  const bool sweep_trace =
+      trace != nullptr && trace->enabled(obs::TraceLevel::kIteration);
+  // The instrumented sweep: SimCounters and per-prefix sweep samples are
+  // collected whenever anything consumes them -- registry shards, the
+  // per-iteration rib_entries series, per-prefix spans, or the sweep
+  // profiler's samples.
+  const bool counting = reg != nullptr || sweep_trace;
+  // Named at kIteration (not just kPrefix): profile traces carry
+  // per-prefix sweep spans on the worker tracks at the default level, and
+  // Perfetto should label them.
+  if (sweep_trace) {
     trace->name_thread(0, "refine");
     for (unsigned worker = 0; worker < pool.shard_count(); ++worker)
       trace->name_thread(1000 + worker,
                          "sim-worker-" + std::to_string(worker));
   }
-  struct PrefixSpan {
-    std::uint64_t start_us = 0;
-    std::uint64_t dur_us = 0;
-    unsigned worker = 0;
-  };
-  // Per executed shard of an instrumented shard-executed sweep: which
-  // worker ran it, its span on the sweep clock, and the worker arena's
-  // high-water mark when it finished.
-  struct ShardRec {
+  // Per simulated prefix of an instrumented sweep: which worker ran it, its
+  // span on the sweep clock, the worker arena's high-water mark when it
+  // finished, and its predicted cost.
+  struct ItemRec {
     unsigned worker = 0;
     std::uint64_t start_us = 0;
     std::uint64_t dur_us = 0;
     std::uint64_t arena_bytes = 0;
+    std::uint64_t predicted_cost = 0;
   };
 
-  // Sweep compaction (RefineConfig::compact_sweep; DESIGN.md section 12):
-  // in agnostic mode each prefix simulates over its static working set.
-  // The relaxed reachability bound is the working set of choice here -- it
-  // is sound for the specialized loop (routers outside it sit behind
-  // kDenyAll filters, so a full run provably leaves them empty) and costs
-  // one session BFS per (generation, prefix), served by the cache across
-  // the sweep.  Engine::build_view returns null for non-agnostic option
-  // sets, which keeps the fallback decision in one place.
-  const bool compact_sweep = config.compact_sweep &&
-                             !config.engine.use_relationship_policies &&
-                             !config.engine.use_igp_cost &&
-                             !config.engine.use_ibgp_mesh;
+  // Simulation views (DESIGN.md section 12).  Under agnostic engine options
+  // each prefix simulates over its relaxed working set: sound (routers
+  // outside it sit behind kDenyAll filters, so a full run provably leaves
+  // them empty) and one session BFS per (generation, prefix), served by
+  // reach_cache.  The relaxed bound ignores valley-free gates and iBGP
+  // pushes, so every other option set simulates the identity view.
+  const bool agnostic = !config.engine.use_relationship_policies &&
+                        !config.engine.use_igp_cost &&
+                        !config.engine.use_ibgp_mesh;
+  const auto view_for = [&](const PrefixWork& w) {
+    if (!agnostic) return engine.identity_view(w.prefix, w.origin);
+    return engine.build_view(w.prefix, w.origin,
+                             *reach_cache.relaxed(model, w.prefix, w.origin));
+  };
+  // The profiler prices each prefix with the planner's relaxed cost model
+  // at its default caps (analysis::view_cost).
+  const analysis::RouteSpaceOptions cost_space;
   // One simulation arena per pool slot: parallel_for_worker guarantees a
   // slot is owned by one thread per batch, so sweeps reuse these buffers
   // across prefixes and iterations with no per-message heap traffic.
   std::vector<bgp::SimMemory> sim_memory(pool.shard_count());
-  std::atomic<std::uint64_t> compacted_runs{0};
-  const auto simulate = [&](const PrefixWork& w, bgp::SimCounters* counters,
-                            unsigned worker, PrefixSimResult& out) {
-    bgp::SimMemory& mem = sim_memory[worker];
-    if (compact_sweep) {
-      const std::shared_ptr<const std::vector<char>> members =
-          reach_cache.relaxed(model, w.prefix, w.origin);
-      if (std::shared_ptr<const bgp::PrefixView> view =
-              engine.build_view(w.prefix, w.origin, *members)) {
-        compacted_runs.fetch_add(1, std::memory_order_relaxed);
-        engine.run_compacted_into(std::move(view), mem, counters, out);
-        return;
-      }
-    }
-    engine.run_into(w.prefix, w.origin, mem, counters, nullptr, out);
-  };
 
   std::size_t routers_added_prev = refiner.routers_added;
   std::size_t policies_changed_prev = refiner.policies_changed;
@@ -842,11 +760,7 @@ RefineResult refine_model(topo::Model& model,
   std::vector<PrefixSimResult> sims;
   std::vector<analysis::Diagnostics> sim_diags;
   std::vector<bgp::SimCounters> sim_counters;
-  std::vector<PrefixSpan> spans;
-  std::vector<std::vector<std::size_t>> shard_items;
-  std::vector<std::uint64_t> shard_predicted;
-  std::vector<ShardRec> shard_recs;
-  std::vector<analysis::PrefixWorkset> iter_worksets;
+  std::vector<ItemRec> item_recs;
   for (std::size_t iteration = start_iteration;
        iteration <= config.max_iterations; ++iteration) {
     active_index.clear();
@@ -858,10 +772,7 @@ RefineResult refine_model(topo::Model& model,
     if (flight != nullptr)
       flight->record(0, obs::FlightEventType::kIterationStart, iteration,
                      active);
-    const std::uint64_t iter_ts =
-        trace != nullptr && trace->enabled(obs::TraceLevel::kIteration)
-            ? trace->now_us()
-            : 0;
+    const std::uint64_t iter_ts = sweep_trace ? trace->now_us() : 0;
 
     // Simulation sweep: every active prefix against the immutable
     // iteration-start model.  The engine's epoch context is built once up
@@ -883,83 +794,43 @@ RefineResult refine_model(topo::Model& model,
     };
     obs::PhaseTimer sim_timer(reg, metrics.simulate_ns, trace, "simulate",
                               iter_args(iteration));
-    // Shard-executed schedule (RefineConfig::shard_sweep; DESIGN.md
-    // section 13): instead of handing the pool a flat index range, group
-    // the active prefixes into cost-balanced shards -- the external plan's
-    // assignment, or a fresh plan over this iteration's relaxed worksets
-    // -- and hand the pool one task per shard.  Scheduling only: results
-    // still land in their deterministic slots and the apply phase stays
-    // serial, so the fitted model is byte-identical to the flat sweep at
-    // every thread and shard count.
-    const bool shard_exec = config.shard_sweep && active > 1;
-    // Sweep profiling (DESIGN.md section 14): shard samples are collected
-    // whenever the sweep is both shard-executed and instrumented; the
-    // flight recorder's shard events ride the same hooks.  Neither exists
-    // on the zero-observer path.
-    const bool sweep_profiled = counting && shard_exec;
-    const std::uint64_t sweep_t0 =
-        (sweep_profiled || flight != nullptr) ? sweep_now_us() : 0;
+    if (counting) {
+      sim_counters.assign(active, {});
+      item_recs.assign(active, {});
+    }
+    const std::uint64_t sweep_t0 = counting ? sweep_now_us() : 0;
     bool sweep_faulted = false;
     try {
-    shard_items.clear();
-    shard_predicted.clear();
-    if (shard_exec) {
-      if (config.shard_plan != nullptr) {
-        shard_items.assign(config.shard_plan->num_shards, {});
-        for (std::size_t i = 0; i < active; ++i)
-          shard_items[work_shard[active_index[i]]].push_back(i);
-        shard_predicted.assign(shard_items.size(), 0);
-        if (sweep_profiled || flight != nullptr) {
-          // Price each shard over the ACTIVE subset it actually runs this
-          // iteration, not the plan's full-sweep load.
-          for (std::size_t s = 0; s < shard_items.size(); ++s) {
-            for (const std::size_t i : shard_items[s])
-              shard_predicted[s] += work_cost[active_index[i]];
-          }
-        }
-      } else {
-        // Fresh plan each iteration: the model mutated since the last
-        // one.  Each active prefix's relaxed bound is primed in parallel
-        // through reach_cache -- the compacted sweep reads the very same
-        // entries back, so this is a prefetch, not duplicated work.
-        iter_worksets.assign(active, {});
-        analysis::WorksetOptions ws_options;
-        ws_options.exact = false;
-        pool.parallel_for(active, [&](std::size_t i) {
-          const PrefixWork& w = work[active_index[i]];
-          iter_worksets[i] = analysis::compute_working_set(
-              engine, w.prefix, w.origin, ws_options, &reach_cache, nullptr);
-        });
-        analysis::PlanOptions plan_options;
-        plan_options.shards = result.threads_used;
-        const analysis::ShardPlan plan = analysis::plan_shards(
-            iter_worksets, model.num_routers(), plan_options, nullptr);
-        shard_items.assign(plan.shards.size(), {});
-        shard_predicted.assign(plan.shards.size(), 0);
-        for (std::size_t s = 0; s < plan.shards.size(); ++s) {
-          shard_items[s] = plan.shards[s].prefixes;
-          shard_predicted[s] = plan.shards[s].cost;
-        }
-      }
-      ++result.sharded_iterations;
-    }
-    if (counting) {
-      // Instrumented sweep: identical engine runs, plus per-prefix
-      // SimCounters and per-worker metric shards.  The shards merge into
-      // the registry in ascending worker order when the group leaves
-      // scope (after the pool barrier), so totals are deterministic for
-      // every thread count.
-      sim_counters.assign(active, {});
-      if (prefix_trace) spans.assign(active, {});
+      // Per-worker metric shards merge into the registry in ascending
+      // worker order when the group leaves scope (after the pool barrier),
+      // so totals are deterministic for every thread count.
       std::optional<obs::ShardGroup> shards;
       if (reg != nullptr) shards.emplace(*reg, pool.shard_count());
+      // Observers, the flight recorder and the fault hook are null-or-real
+      // sinks inside run_item; results land in per-prefix slots and the
+      // apply phase stays serial, so the fitted model is byte-identical at
+      // every thread count.
       const auto run_item = [&](unsigned worker, std::size_t i) {
         inject_worker_fault(i);
         const PrefixWork& w = work[active_index[i]];
-        const std::uint64_t t0 = prefix_trace ? trace->now_us() : 0;
-        simulate(w, &sim_counters[i], worker, sims[i]);
-        if (prefix_trace)
-          spans[i] = {t0, trace->now_us() - t0, worker};
+        bgp::SimMemory& mem = sim_memory[worker];
+        const std::uint64_t t0 = counting ? sweep_now_us() : 0;
+        std::shared_ptr<const bgp::PrefixView> view = view_for(w);
+        const std::uint64_t predicted =
+            counting ? analysis::view_cost(*view, cost_space) : 0;
+        if (flight != nullptr)
+          flight->record(1 + worker, obs::FlightEventType::kShardStart,
+                         iteration, i, predicted);
+        engine.run_into(std::move(view), mem,
+                        counting ? &sim_counters[i] : nullptr, nullptr,
+                        sims[i]);
+        const std::uint64_t arena = mem.footprint_bytes();
+        if (flight != nullptr)
+          flight->record(1 + worker, obs::FlightEventType::kShardEnd,
+                         iteration, i, arena);
+        if (!counting) return;
+        item_recs[i] =
+            ItemRec{worker, t0, sweep_now_us() - t0, arena, predicted};
         if (shards.has_value()) {
           obs::Shard& shard = shards->shard(worker);
           const bgp::SimCounters& c = sim_counters[i];
@@ -973,55 +844,9 @@ RefineResult refine_model(topo::Model& model,
                         static_cast<double>(c.messages));
         }
       };
-      if (shard_exec) {
-        // Wrap each shard in a timed span (trace clock) and flight events;
-        // the ShardRec lands in the shard's own slot, so the serial
-        // post-sweep pass reads it race-free after the pool barrier.
-        shard_recs.assign(shard_items.size(), {});
-        pool.parallel_for_worker(
-            shard_items.size(), [&](unsigned worker, std::size_t s) {
-              const std::uint64_t t0 = sweep_now_us();
-              if (flight != nullptr)
-                flight->record(1 + worker, obs::FlightEventType::kShardStart,
-                               iteration, s, shard_predicted[s]);
-              for (const std::size_t i : shard_items[s]) run_item(worker, i);
-              const std::uint64_t arena =
-                  sim_memory[worker].footprint_bytes();
-              if (flight != nullptr)
-                flight->record(1 + worker, obs::FlightEventType::kShardEnd,
-                               iteration, s, arena);
-              shard_recs[s] =
-                  ShardRec{worker, t0, sweep_now_us() - t0, arena};
-            });
-      } else {
-        pool.parallel_for_worker(active, run_item);
-      }
-    } else {
-      // Zero-observer sweep: the pre-observability code path, modulo the
-      // worker-slot simulation arena (and, when a flight recorder is
-      // attached, one ring write per shard boundary -- recording only,
-      // nothing is timed or aggregated here).
-      const auto run_item = [&](unsigned worker, std::size_t i) {
-        inject_worker_fault(i);
-        const PrefixWork& w = work[active_index[i]];
-        simulate(w, nullptr, worker, sims[i]);
-      };
-      if (shard_exec) {
-        pool.parallel_for_worker(
-            shard_items.size(), [&](unsigned worker, std::size_t s) {
-              if (flight != nullptr)
-                flight->record(1 + worker, obs::FlightEventType::kShardStart,
-                               iteration, s, shard_predicted[s]);
-              for (const std::size_t i : shard_items[s]) run_item(worker, i);
-              if (flight != nullptr)
-                flight->record(1 + worker, obs::FlightEventType::kShardEnd,
-                               iteration, s,
-                               sim_memory[worker].footprint_bytes());
-            });
-      } else {
-        pool.parallel_for_worker(active, run_item);
-      }
-    }
+      // The one sweep loop: a dynamic queue over the active prefixes in
+      // ascending work order.
+      pool.parallel_for_worker(active, run_item);
     } catch (const std::exception& e) {
       // A worker body threw (the pool drains the batch, rethrows here, and
       // stays usable).  The model still reflects the last completed
@@ -1039,45 +864,38 @@ RefineResult refine_model(topo::Model& model,
     }
     sim_timer.stop();
     result.phase_seconds.simulate += sim_timer.seconds();
-    const std::uint64_t sweep_t1 = sweep_profiled ? sweep_now_us() : 0;
+    const std::uint64_t sweep_t1 = counting ? sweep_now_us() : 0;
     if (sweep_faulted) {
       result.stop = RefineStop::kFault;
       write_checkpoint(iteration - 1);
       break;
     }
-    if (sweep_profiled) {
+    if (counting) {
       // Serial post-sweep collection (after the pool barrier): one sample
-      // per non-empty shard, plus this iteration's sweep span -- the raw
-      // material obs::profile_sweep and `rdtool profile` attribute
-      // speedup loss from.  Shards the planner left empty are skipped:
-      // they carry no work and would only pollute the predicted-vs-
-      // measured correlation with (0, ~0) pairs.
-      const bool shard_trace =
-          trace != nullptr && trace->enabled(obs::TraceLevel::kIteration);
-      for (std::size_t s = 0; s < shard_items.size(); ++s) {
-        if (shard_items[s].empty()) continue;
-        std::uint64_t shard_messages = 0;
-        for (const std::size_t i : shard_items[s])
-          shard_messages += sim_counters[i].messages;
+      // per simulated prefix -- a profile "shard" is one prefix -- plus
+      // this iteration's sweep span, the raw material obs::profile_sweep
+      // and `rdtool profile` attribute speedup loss from.
+      for (std::size_t i = 0; i < active; ++i) {
+        const ItemRec& rec = item_recs[i];
         obs::SweepShardSample sample;
         sample.iteration = iteration;
-        sample.shard = s;
-        sample.worker = shard_recs[s].worker;
-        sample.predicted_cost = shard_predicted[s];
-        sample.start_us = shard_recs[s].start_us;
-        sample.dur_us = shard_recs[s].dur_us;
-        sample.messages = shard_messages;
-        sample.prefixes = shard_items[s].size();
-        sample.arena_bytes = shard_recs[s].arena_bytes;
+        sample.shard = i;
+        sample.worker = rec.worker;
+        sample.predicted_cost = rec.predicted_cost;
+        sample.start_us = rec.start_us;
+        sample.dur_us = rec.dur_us;
+        sample.messages = sim_counters[i].messages;
+        sample.prefixes = 1;
+        sample.arena_bytes = rec.arena_bytes;
         result.shard_samples.push_back(sample);
-        if (shard_trace) {
-          // One span per executed shard on its worker's track (stable
+        if (sweep_trace) {
+          // One span per simulated prefix on its worker's track (stable
           // schema; `rdtool profile` reads it back -- DESIGN.md section
           // 9).
           nb::JsonWriter args;
           args.begin_object();
           args.key("iteration").value(static_cast<std::uint64_t>(iteration));
-          args.key("shard").value(static_cast<std::uint64_t>(s));
+          args.key("shard").value(static_cast<std::uint64_t>(i));
           args.key("predicted_cost").value(sample.predicted_cost);
           args.key("prefixes")
               .value(static_cast<std::uint64_t>(sample.prefixes));
@@ -1137,8 +955,9 @@ RefineResult refine_model(topo::Model& model,
               .value(eliminated[step]);
         }
         args.end_object();
-        trace->complete("prefix", "sim", spans[i].start_us, spans[i].dur_us,
-                        1000 + spans[i].worker, args.str());
+        trace->complete("prefix", "sim", item_recs[i].start_us,
+                        item_recs[i].dur_us, 1000 + item_recs[i].worker,
+                        args.str());
       }
     }
 
@@ -1275,7 +1094,7 @@ RefineResult refine_model(topo::Model& model,
     policies_changed_prev = refiner.policies_changed;
     result.log.push_back(log);
     result.iterations = iteration;
-    if (trace != nullptr && trace->enabled(obs::TraceLevel::kIteration)) {
+    if (sweep_trace) {
       // One span per refinement iteration.  The arg names are the stable
       // schema `rdtool stats` reads back into its convergence table
       // (DESIGN.md section 9) -- rename only with a migration there.
@@ -1424,7 +1243,6 @@ RefineResult refine_model(topo::Model& model,
   for (const PrefixWork& w : work) matched_total += w.matched;
   result.unmatched_paths = total_paths - matched_total;
   result.success = result.unmatched_paths == 0;
-  result.compacted_runs = compacted_runs.load(std::memory_order_relaxed);
   result.routers_added = refiner.routers_added;
   result.policies_changed = refiner.policies_changed;
   result.filters_relaxed = refiner.filters_relaxed;

@@ -66,7 +66,6 @@ class FlightRecorder;
 
 namespace analysis {
 class ReachabilityCache;
-struct ShardPlan;
 }  // namespace analysis
 
 namespace topo {
@@ -123,35 +122,13 @@ struct RefineConfig {
   /// alternative of Section 4.6.
   bgp::EngineOptions engine;
 
-  /// Sweep compaction (DESIGN.md section 12): simulate each prefix over its
-  /// static working set (analysis/workset.hpp relaxed bound, cached per
-  /// model generation) through Engine::run_compacted instead of the full
-  /// model.  Byte-identical fitted models with the flag on or off, at every
-  /// thread count; automatically falls back to full runs when the engine
-  /// options rule the specialized loop out (relationship policies, IGP
-  /// costs, iBGP mesh -- Engine::build_view returns null there).
-  bool compact_sweep = true;
-
-  /// Shard-executed sweep (DESIGN.md section 13): instead of fanning the
-  /// flat prefix list across workers, group each iteration's active
-  /// prefixes into cost-balanced shards (analysis/partition) and hand each
-  /// worker whole shards, so one giant prefix no longer gates the sweep
-  /// tail.  Scheduling only: results land in per-prefix slots and the
-  /// heuristic consumes them serially in deterministic order, so the
-  /// fitted model stays byte-identical with the flag on or off, for every
-  /// thread and shard count.
-  bool shard_sweep = true;
-  /// Externally supplied plan (e.g. `rdtool plan` output) executed instead
-  /// of the per-iteration default.  Must cover the full per-AS prefix list
-  /// of THIS model -- plan_fingerprint is verified and a mismatch stops
-  /// the fit with A822 / RefineStop::kFault.  The plan is read-only and
-  /// must outlive the call.
-  const analysis::ShardPlan* shard_plan = nullptr;
-  /// Shared generation-keyed reachability cache (analysis/workset).  When
-  /// non-null, the sweep's working-set BFS results are read from / written
-  /// to this cache, so callers that already ran a plan or workset analysis
-  /// in-process (rdtool plan before refine) reuse them instead of
-  /// recomputing; when null, refine_model keeps a private cache.
+  /// Shared generation-keyed reachability cache (analysis/workset).  Under
+  /// agnostic engine options the sweep simulates each prefix over its
+  /// relaxed working set (DESIGN.md section 12); when non-null, those BFS
+  /// results are read from / written to this cache, so callers that
+  /// already ran a plan or workset analysis in-process (rdtool plan before
+  /// refine) reuse them instead of recomputing; when null, refine_model
+  /// keeps a private cache.
   analysis::ReachabilityCache* reachability_cache = nullptr;
 
   // Ablation switches (bench_ablation): disabling any of these degrades the
@@ -192,7 +169,7 @@ struct RefineConfig {
   const obs::Observer* observer = nullptr;
 
   /// Always-on flight recorder (DESIGN.md section 14): when non-null the
-  /// fit records coarse lifecycle events (iteration/shard boundaries,
+  /// fit records coarse lifecycle events (iteration/prefix boundaries,
   /// freezes, checkpoints, faults, the stop) into the recorder's lock-free
   /// per-track rings.  Track 0 is the serial loop; track 1+w is sweep
   /// worker w -- single writer per track, so recording is one relaxed
@@ -288,14 +265,6 @@ struct RefineResult {
   /// BGP messages processed across every simulation of the fit (the
   /// engine-throughput denominator for benchmarks).
   std::uint64_t messages_simulated = 0;
-  /// Simulations that ran through a compacted working-set view
-  /// (RefineConfig::compact_sweep); 0 when the flag is off or the engine
-  /// options forced the full-run fallback.
-  std::uint64_t compacted_runs = 0;
-  /// Iterations whose sweep ran shard-executed (RefineConfig::shard_sweep);
-  /// 0 when the flag is off or every iteration had too few active prefixes
-  /// to shard.
-  std::uint64_t sharded_iterations = 0;
   RefinePhaseSeconds phase_seconds;
   /// Effective worker count of the simulation sweep.
   unsigned threads_used = 1;
@@ -332,10 +301,10 @@ struct RefineResult {
   std::uint64_t cache_invalidations = 0;
 
   /// Sweep-profiler raw material (DESIGN.md section 14): one sample per
-  /// executed shard of every instrumented shard-executed sweep, and the
-  /// sweep (simulate-phase) span of each such iteration.  Populated only
-  /// when an observer with a registry or an iteration-level trace sink is
-  /// attached AND the sweep ran shard-executed; empty otherwise (the
+  /// simulated prefix of every instrumented sweep (a profile "shard" is one
+  /// prefix; `prefixes` is always 1), and the sweep (simulate-phase) span
+  /// of each iteration.  Populated only when an observer with a registry
+  /// or an iteration-level trace sink is attached; empty otherwise (the
   /// zero-observer path records nothing).  obs::profile_sweep folds these
   /// into the speedup-loss attribution `rdtool profile` reports.
   std::vector<obs::SweepShardSample> shard_samples;

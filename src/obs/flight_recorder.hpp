@@ -1,9 +1,9 @@
 // Always-on crash telemetry for the refinement loop: a fixed-capacity
 // event ring per track (one serial track plus one per sweep worker),
-// recording coarse loop events -- iteration starts, shard executions with
-// their predicted cost, prefix freezes, checkpoints, faults -- cheaply
-// enough to stay attached by default.  On a degraded or faulted stop
-// (R700/R702/R703/R704/A822) core::refine_model dumps the rings to a
+// recording coarse loop events -- iteration starts, per-prefix sweep
+// simulations (a "shard" is one prefix), prefix freezes, checkpoints,
+// faults -- cheaply enough to stay attached by default.  On a degraded or
+// faulted stop (R700/R702/R703/R704) core::refine_model dumps the rings to a
 // post-mortem JSON so the last moments of a bad run are inspectable even
 // when no trace sink was attached.
 //
@@ -32,12 +32,14 @@ namespace obs {
 
 enum class FlightEventType : std::uint8_t {
   kIterationStart,  // a=iteration, b=active prefixes
-  kShardStart,      // a=iteration, b=shard, c=predicted cost
-  kShardEnd,        // a=iteration, b=shard, c=arena bytes (high-water)
+  kShardStart,      // a=iteration, b=shard (one prefix), c=predicted cost
+                    // (0 unless the sweep is instrumented)
+  kShardEnd,        // a=iteration, b=shard (one prefix), c=arena bytes
+                    // (high-water)
   kPrefixFrozen,    // a=iteration, b=origin, c=PrefixOutcome as int
   kCheckpoint,      // a=iteration, b=ok (1) / failed (0)
   kInterrupt,       // a=iteration
-  kFault,           // a=iteration, b=kind (0 sweep, 1 plan, 2 resume)
+  kFault,           // a=iteration, b=kind (0 sweep, 2 resume)
   kStop,            // a=RefineStop as int, b=iterations
   // Serve-daemon events (serve::Server; DESIGN.md section 15).  Track
   // convention there: 0 = accept loop, 1 = admission (serialized by the

@@ -1,26 +1,27 @@
 // Sweep profiler (DESIGN.md section 14): the data model and the arithmetic
 // behind `rdtool profile`.
 //
-// The instrumented shard-executed sweep (core/refine) measures one
-// SweepShardSample per executed shard -- which worker ran it, how long it
-// took, how many messages it processed, the worker arena's high-water mark,
-// and the shard's PREDICTED cost from the static planner
-// (analysis/partition).  Each iteration's simulate phase span is the
-// parallel section those shards ran inside.  profile_sweep() folds the two
-// into a speedup-loss attribution:
+// The instrumented sweep (core/refine) measures one SweepShardSample per
+// simulated prefix -- a "shard" is one prefix -- recording which worker ran
+// it, how long it took, how many messages it processed, the worker arena's
+// high-water mark, and its PREDICTED cost from the static relaxed cost
+// model (analysis::view_cost over the view the sweep simulated).  Each
+// iteration's simulate phase span is the parallel section those samples
+// ran inside.  profile_sweep() folds the two into a speedup-loss
+// attribution:
 //
 //   total = parallel + serial            (serial: heuristic/validate/apply)
 //   parallel splits, per iteration, into
 //     critical path   max_w busy_w       (the slowest worker gates the sweep)
 //     imbalance       max_w busy_w - mean_w busy_w
-//     overhead        span - max_w busy_w (planning, workset priming,
-//                                          scheduling -- time inside the
-//                                          simulate span covered by no shard)
-//   and per worker into busy (its shard spans) vs idle (span - busy).
+//     overhead        span - max_w busy_w (scheduling and queue wait --
+//                                          time inside the simulate span
+//                                          covered by no sample)
+//   and per worker into busy (its sample spans) vs idle (span - busy).
 //
 // Cost-model accuracy is scored as the Spearman rank correlation of
-// predicted vs measured shard cost over every sample: the planner only
-// needs the ORDER of shard loads to balance them, so rank correlation --
+// predicted vs measured cost over every sample: a planner only needs the
+// ORDER of loads to balance them, so rank correlation --
 // not Pearson -- is the right score, and a value <= 0 means the static
 // model is no better than random for scheduling (the CI perf-smoke job
 // gates it > 0).
@@ -31,20 +32,20 @@
 
 namespace obs {
 
-/// One shard execution observed by the instrumented sweep.  Timestamps are
-/// on the trace clock (TraceSink::now_us) when a sink is attached, on the
-/// fit's own steady clock otherwise -- consistent within one fit either
-/// way.
+/// One prefix simulation ("shard") observed by the instrumented sweep.
+/// Timestamps are on the trace clock (TraceSink::now_us) when a sink is
+/// attached, on the fit's own steady clock otherwise -- consistent within
+/// one fit either way.
 struct SweepShardSample {
   std::size_t iteration = 0;
   std::size_t shard = 0;
   unsigned worker = 0;
-  /// Static planner cost (analysis/partition) of this shard's prefixes.
+  /// Static relaxed cost (analysis::view_cost) of this shard's prefix.
   std::uint64_t predicted_cost = 0;
   std::uint64_t start_us = 0;
   std::uint64_t dur_us = 0;
   std::uint64_t messages = 0;
-  std::size_t prefixes = 0;
+  std::size_t prefixes = 0;  // always 1 from the refinement sweep
   /// Worker simulation-arena footprint (bgp::SimMemory::footprint_bytes,
   /// a high-water mark) when the shard finished.
   std::uint64_t arena_bytes = 0;

@@ -398,8 +398,9 @@ std::string Server::handle_predict(const ServeRequest& request,
                           "origin and vantage must name ASes in the model");
   }
   bgp::PrefixSimResult sim;
-  engine_.run_into(nb::Prefix::for_asn(request.origin), request.origin,
-                   memory, nullptr, nullptr, sim);
+  const nb::Prefix prefix = nb::Prefix::for_asn(request.origin);
+  engine_.run_into(engine_.identity_view(prefix, request.origin), memory,
+                   nullptr, nullptr, sim);
   bool diverged = !sim.converged;
 #ifdef RD_FAULT_INJECTION
   if (config_.fault.honor_request_faults && request.fault == "diverge")

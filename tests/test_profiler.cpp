@@ -271,18 +271,22 @@ TEST(InstrumentedRefineTest, ProfiledFitSamplesShardsWithoutPerturbingIt) {
   EXPECT_EQ(fit.model_text, bare_fit_text(0.08, 6, 4))
       << "attaching the profiler changed the fitted model";
 
-  // Every shard-executed iteration yields one sweep span and per-shard
-  // samples carrying the planner's predicted cost.
-  EXPECT_GT(fit.result.sharded_iterations, 0u);
-  EXPECT_EQ(fit.result.sweep_spans.size(), fit.result.sharded_iterations);
-  ASSERT_FALSE(fit.result.shard_samples.empty());
+  // Every iteration yields one sweep span, and every simulated prefix one
+  // sample (a profile "shard" is one prefix) carrying its view-priced
+  // predicted cost.
+  ASSERT_GT(fit.result.iterations, 0u);
+  EXPECT_EQ(fit.result.sweep_spans.size(), fit.result.iterations);
+  std::size_t simulated = 0;
+  for (const core::RefineIterationLog& log : fit.result.log)
+    simulated += log.active_prefixes;
+  EXPECT_EQ(fit.result.shard_samples.size(), simulated);
   std::uint64_t messages = 0;
   for (const obs::SweepShardSample& sample : fit.result.shard_samples) {
-    EXPECT_GT(sample.prefixes, 0u) << "empty shard sampled";
+    EXPECT_EQ(sample.prefixes, 1u);
     EXPECT_GT(sample.predicted_cost, 0u);
     messages += sample.messages;
   }
-  EXPECT_GT(messages, 0u);
+  EXPECT_EQ(messages, fit.result.messages_simulated);
 
   // Reachability-cache counters surface both on the result and as cache.*
   // registry counters (satellite: `rdtool refine --json` reads these).

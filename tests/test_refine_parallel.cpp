@@ -5,7 +5,6 @@
 // tsan preset, which exercises the simulate-in-parallel phase for races.
 #include <gtest/gtest.h>
 
-#include "analysis/partition.hpp"
 #include "bgp/driver.hpp"
 #include "bgp/engine.hpp"
 #include "core/pipeline.hpp"
@@ -23,16 +22,7 @@ struct Fit {
   core::RefineResult result;
 };
 
-struct FitOptions {
-  bool compact_sweep = true;
-  /// Sweep schedule: shard-executed (the default) or the flat index range.
-  bool shard_sweep = true;
-  /// Externally supplied shard plan (RefineConfig::shard_plan).
-  const analysis::ShardPlan* shard_plan = nullptr;
-};
-
-Fit fit_at(double scale, std::uint64_t seed, unsigned threads,
-           const FitOptions& options = {}) {
+Fit fit_at(double scale, std::uint64_t seed, unsigned threads) {
   core::PipelineConfig config = core::PipelineConfig::with(scale, seed);
   core::Pipeline pipeline = core::make_pipeline(config);
   core::run_data_stages(pipeline);
@@ -40,9 +30,6 @@ Fit fit_at(double scale, std::uint64_t seed, unsigned threads,
   Model model = Model::one_router_per_as(pipeline.graph);
   core::RefineConfig refine;
   refine.threads = threads;
-  refine.compact_sweep = options.compact_sweep;
-  refine.shard_sweep = options.shard_sweep;
-  refine.shard_plan = options.shard_plan;
   Fit fit;
   fit.result = core::refine_model(model, pipeline.split.training, refine);
   fit.model_text = topo::model_to_string(model);
@@ -79,30 +66,18 @@ class ParallelFit : public ::testing::TestWithParam<std::pair<double,
 };
 
 TEST_P(ParallelFit, ModelIsByteIdenticalAcrossThreadAndShardSchedules) {
-  // Identity matrix: {flat, shard-executed} x {1, 2, 4, hardware} threads
-  // must all produce the reference model byte for byte.  threads == 0 is
-  // the hardware-concurrency leg (whatever this machine resolves it to).
+  // Identity matrix: the one sweep loop at {1, 2, 4, hardware} threads
+  // must produce the 1-thread reference model byte for byte.  threads == 0
+  // is the hardware-concurrency leg (whatever this machine resolves it
+  // to).  The dynamic queue hands prefixes to workers in a different order
+  // on every run, so each multi-thread leg is a different schedule.
   const auto [scale, seed] = GetParam();
-  FitOptions flat;
-  flat.shard_sweep = false;
-  const Fit serial = fit_at(scale, seed, 1, flat);
+  const Fit serial = fit_at(scale, seed, 1);
   ASSERT_TRUE(serial.result.success);
-  EXPECT_EQ(serial.result.sharded_iterations, 0u)
-      << "shard_sweep=false must never shard";
-  for (const bool shard : {false, true}) {
-    for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-      FitOptions options;
-      options.shard_sweep = shard;
-      const Fit fit = fit_at(scale, seed, threads, options);
-      const std::string what = std::string(shard ? "sharded" : "flat") +
-                               " sweep at threads=" +
-                               std::to_string(threads);
-      expect_same_fit(serial, fit, what);
-      if (shard && fit.result.iterations > 0) {
-        EXPECT_GT(fit.result.sharded_iterations, 0u)
-            << "shard schedule never engaged: " << what;
-      }
-    }
+  for (const unsigned threads : {2u, 4u, 0u}) {
+    const Fit fit = fit_at(scale, seed, threads);
+    expect_same_fit(serial, fit,
+                    "sweep at threads=" + std::to_string(threads));
   }
 }
 
@@ -110,68 +85,8 @@ INSTANTIATE_TEST_SUITE_P(
     Topologies, ParallelFit,
     ::testing::Values(std::pair<double, std::uint64_t>{0.05, 1},
                       std::pair<double, std::uint64_t>{0.08, 6},
-                      std::pair<double, std::uint64_t>{0.1, 3}));
-
-TEST(ShardPlanExecution, ExternalPlanFitsToTheIdenticalModel) {
-  // An `rdtool plan`-style plan computed up front (any shard count) only
-  // changes the sweep schedule; the fit must equal the flat reference.
-  core::PipelineConfig config = core::PipelineConfig::with(0.08, 6);
-  core::Pipeline pipeline = core::make_pipeline(config);
-  core::run_data_stages(pipeline);
-  const Model planned_model = Model::one_router_per_as(pipeline.graph);
-  const bgp::Engine engine(planned_model);
-  analysis::WorksetOptions workset_options;
-  workset_options.exact = false;
-  const std::vector<analysis::PrefixWorkset> worksets =
-      analysis::compute_all_worksets(engine, workset_options);
-  analysis::PlanOptions plan_options;
-  plan_options.shards = 3;
-  const analysis::ShardPlan plan =
-      analysis::plan_shards(worksets, planned_model.num_routers(),
-                            plan_options);
-  ASSERT_NE(plan.fingerprint, 0u);
-
-  FitOptions flat;
-  flat.shard_sweep = false;
-  const Fit reference = fit_at(0.08, 6, 1, flat);
-  ASSERT_TRUE(reference.result.success);
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    FitOptions options;
-    options.shard_plan = &plan;
-    const Fit fit = fit_at(0.08, 6, threads, options);
-    expect_same_fit(reference, fit,
-                    "external plan at threads=" + std::to_string(threads));
-    EXPECT_GT(fit.result.sharded_iterations, 0u);
-  }
-}
-
-TEST(CompactSweep, FitIsByteIdenticalWithAndWithoutCompaction) {
-  // The working-set-compacted sweep is an optimization, never a semantic
-  // change: the fitted model and iteration counters must match the plain
-  // full-model sweep at every thread count, and the counters must prove
-  // the compacted path actually ran (or stayed off).
-  FitOptions full;
-  full.compact_sweep = false;
-  const Fit baseline = fit_at(0.08, 6, 1, full);
-  ASSERT_TRUE(baseline.result.success);
-  EXPECT_EQ(baseline.result.compacted_runs, 0u)
-      << "compact_sweep=false must not build views";
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    const Fit compacted = fit_at(0.08, 6, threads);
-    EXPECT_TRUE(compacted.result.success);
-    EXPECT_GT(compacted.result.compacted_runs, 0u)
-        << "compact_sweep=true never took the compacted path";
-    EXPECT_EQ(baseline.model_text, compacted.model_text)
-        << "fitted model differs between full and compacted sweeps at "
-        << threads << " thread(s)";
-    EXPECT_EQ(baseline.result.iterations, compacted.result.iterations);
-    EXPECT_EQ(baseline.result.messages_simulated,
-              compacted.result.messages_simulated);
-    EXPECT_EQ(baseline.result.routers_added, compacted.result.routers_added);
-    EXPECT_EQ(baseline.result.policies_changed,
-              compacted.result.policies_changed);
-  }
-}
+                      std::pair<double, std::uint64_t>{0.1, 3},
+                      std::pair<double, std::uint64_t>{0.2, 1}));
 
 TEST(ParallelEngine, PooledRunsEqualSerialRuns) {
   core::PipelineConfig config = core::PipelineConfig::with(0.1, 2);

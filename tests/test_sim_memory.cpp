@@ -1,10 +1,9 @@
-// Arena simulation memory (bgp/sim_memory.hpp): Engine::run_into /
-// run_compacted_into against one reused per-worker SimMemory must be
-// bit-for-bit the allocating run() / run_compacted() for ANY arena
-// history -- across every per-AS prefix of policy-rich generated
-// topologies, across models of different sizes sharing one arena, under
-// candidate fan-in past the indexed-map capacity, and for the compacted
-// working-set path.  This is the unit-level half of the byte-identity
+// Arena simulation memory (bgp/sim_memory.hpp): Engine::run_into against
+// one reused per-worker SimMemory must be bit-for-bit the allocating run()
+// (or a fresh arena) for ANY arena history -- across every per-AS prefix
+// of policy-rich generated topologies, across models of different sizes
+// sharing one arena, under candidate fan-in past the indexed-map capacity,
+// and over working-set views.  This is the unit-level half of the byte-identity
 // argument in DESIGN.md section 13; tests/test_refine_parallel.cpp
 // proves the end-to-end half on fitted models.
 #include "bgp/sim_memory.hpp"
@@ -93,8 +92,8 @@ void expect_arena_matches_full(const Model& model,
     std::vector<char> fresh_activated, arena_activated;
     const PrefixSimResult fresh =
         engine.run(prefix, origin, &fresh_counters, &fresh_activated);
-    engine.run_into(prefix, origin, memory, &arena_counters, &arena_activated,
-                    arena_result);
+    engine.run_into(engine.identity_view(prefix, origin), memory,
+                    &arena_counters, &arena_activated, arena_result);
     ASSERT_EQ(sim_text(fresh), sim_text(arena_result))
         << label << ": prefix " << prefix.str();
     EXPECT_EQ(counter_text(fresh_counters), counter_text(arena_counters))
@@ -134,41 +133,45 @@ TEST(SimMemoryTest, ArenaSurvivesFanInPastIndexedCapacity) {
   SimMemory memory;
   PrefixSimResult arena_result;
   const PrefixSimResult fresh = engine.run(Prefix::for_asn(100), 100);
-  engine.run_into(Prefix::for_asn(100), 100, memory, nullptr, nullptr,
-                  arena_result);
+  engine.run_into(engine.identity_view(Prefix::for_asn(100), 100), memory,
+                  nullptr, nullptr, arena_result);
   const std::size_t hub = model.dense(nb::RouterId{1, 0});
   ASSERT_GT(fresh.routers[hub].rib_in.size(), SimMemory::kIndexedFanIn);
   EXPECT_EQ(sim_text(fresh), sim_text(arena_result));
 }
 
 TEST(SimMemoryTest, ArenaCompactedRunMatchesAllocatingCompactedRun) {
-  // Default (agnostic) engine options: relationship policies, IGP costs
-  // and the iBGP mesh rule out build_view entirely, and refinement fits
-  // models under the agnostic engine -- the configuration the compacted
-  // sweep actually runs in.
+  // Working-set views (exact worksets, so most are non-identity) under the
+  // agnostic options the refinement sweep runs and under the ground
+  // truth's relationship policies + IGP costs: the shared arena must
+  // reproduce a fresh arena's run for every prefix.
   const Fixture fixture = generated(0.08, 6);
   const Model& model = fixture.gt.model;
-  const Engine engine(model);
-  SimMemory memory;
-  PrefixSimResult arena_result;
-  std::size_t views_checked = 0;
-  for (Asn origin : model.asns()) {
-    const Prefix prefix = Prefix::for_asn(origin);
-    const analysis::PrefixWorkset workset =
-        analysis::compute_working_set(engine, prefix, origin, {});
-    auto view = engine.build_view(prefix, origin, workset.members);
-    if (view == nullptr) continue;  // options rule out the compacted loop
-    ++views_checked;
-    SimCounters fresh_counters, arena_counters;
-    const PrefixSimResult fresh = engine.run_compacted(view, &fresh_counters);
-    engine.run_compacted_into(std::move(view), memory, &arena_counters,
-                              arena_result);
-    ASSERT_EQ(sim_text(fresh), sim_text(arena_result))
-        << "prefix " << prefix.str();
-    EXPECT_EQ(counter_text(fresh_counters), counter_text(arena_counters))
-        << "prefix " << prefix.str();
+  for (const bgp::EngineOptions& options :
+       {bgp::EngineOptions{}, fixture.gt.config.engine_options()}) {
+    const Engine engine(model, options);
+    SimMemory memory;
+    PrefixSimResult arena_result;
+    std::size_t partial_views = 0;
+    for (Asn origin : model.asns()) {
+      const Prefix prefix = Prefix::for_asn(origin);
+      const analysis::PrefixWorkset workset =
+          analysis::compute_working_set(engine, prefix, origin, {});
+      auto view = engine.build_view(prefix, origin, workset.members);
+      partial_views += view->identity ? 0 : 1;
+      SimCounters fresh_counters, arena_counters;
+      SimMemory fresh_memory;
+      PrefixSimResult fresh;
+      engine.run_into(view, fresh_memory, &fresh_counters, nullptr, fresh);
+      engine.run_into(std::move(view), memory, &arena_counters, nullptr,
+                      arena_result);
+      ASSERT_EQ(sim_text(fresh), sim_text(arena_result))
+          << "prefix " << prefix.str();
+      EXPECT_EQ(counter_text(fresh_counters), counter_text(arena_counters))
+          << "prefix " << prefix.str();
+    }
+    EXPECT_GT(partial_views, 0u);
   }
-  EXPECT_GT(views_checked, 0u);
 }
 
 }  // namespace

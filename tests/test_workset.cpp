@@ -4,13 +4,13 @@
 // prefixes were frozen by budgets, oscillation guards or injected faults --
 // every router a full simulation activates must be contained in the
 // statically computed working set, the same way test_impact.cpp gates the
-// impact closure.  Also pins the compacted-run byte identity against the
-// plain engine (including non-identity views with phantom message
-// charging), the relaxed/A820 fallback, the reachability cache's
-// generation keying (and its sharing between plan and refine in-process),
-// the greedy shard planner's determinism, balance and A821 advisory, and
-// the shard-executed sweep's plan-edge cases (single shard, empty shards,
-// fingerprint mismatch / A822).
+// impact closure.  Also pins the working-set view's byte identity against
+// the identity view (including non-identity views with phantom message
+// charging, on initial and fitted models), the view-priced cost model, the
+// identity view's fixed point under every engine option set, the
+// relaxed/A820 fallback, the reachability cache's generation keying (and
+// its sharing between plan and refine in-process), and the greedy shard
+// planner's determinism, balance and A821 advisory.
 #include "analysis/workset.hpp"
 
 #include <gtest/gtest.h>
@@ -20,14 +20,15 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/check_convergence.hpp"
 #include "analysis/fixtures.hpp"
 #include "analysis/partition.hpp"
 #include "analysis/reachability_cache.hpp"
+#include "bgp/sim_memory.hpp"
 #include "core/fault_inject.hpp"
 #include "core/pipeline.hpp"
 #include "core/refine.hpp"
 #include "data/observations.hpp"
-#include "topology/model_io.hpp"
 
 namespace {
 
@@ -205,49 +206,114 @@ TEST(WorksetTest, ExactBoundExcludesRoutersBehindDenyAllAndStaysSound) {
   }
 }
 
-/// Full-run vs compacted-run equality: states, selection indices, message
-/// and activation counters.
+/// Identity-view vs working-set-view equality: states of every dense
+/// router, selection indices, message and activation counters.
 void expect_runs_identical(const Model& model, const bgp::PrefixSimResult& a,
-                           const bgp::PrefixSimResult& b) {
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.activations, b.activations);
-  EXPECT_EQ(a.message_cap, b.message_cap);
-  ASSERT_EQ(a.dense_size(), b.dense_size());
+                           const bgp::PrefixSimResult& b,
+                           const std::string& label) {
+  EXPECT_EQ(a.converged, b.converged) << label;
+  EXPECT_EQ(a.messages, b.messages) << label;
+  EXPECT_EQ(a.activations, b.activations) << label;
+  EXPECT_EQ(a.message_cap, b.message_cap) << label;
+  ASSERT_EQ(a.dense_size(), b.dense_size()) << label;
   for (Model::Dense r = 0; r < model.num_routers(); ++r) {
     const bgp::RouterState& x = a.state(r);
     const bgp::RouterState& y = b.state(r);
-    ASSERT_EQ(x.rib_in.size(), y.rib_in.size()) << model.router_id(r).str();
-    EXPECT_EQ(x.best, y.best);
-    EXPECT_EQ(x.best_external, y.best_external);
+    ASSERT_EQ(x.rib_in.size(), y.rib_in.size())
+        << label << " " << model.router_id(r).str();
+    EXPECT_EQ(x.best, y.best) << label;
+    EXPECT_EQ(x.best_external, y.best_external) << label;
     for (std::size_t e = 0; e < x.rib_in.size(); ++e) {
-      EXPECT_EQ(x.rib_in[e].sender, y.rib_in[e].sender);
-      EXPECT_EQ(x.rib_in[e].path, y.rib_in[e].path);
-      EXPECT_EQ(x.rib_in[e].med, y.rib_in[e].med);
-      EXPECT_EQ(x.rib_in[e].local_pref, y.rib_in[e].local_pref);
-      EXPECT_EQ(x.rib_in[e].igp_cost, y.rib_in[e].igp_cost);
-      EXPECT_EQ(x.rib_in[e].ibgp, y.rib_in[e].ibgp);
+      EXPECT_EQ(x.rib_in[e].sender, y.rib_in[e].sender) << label;
+      EXPECT_EQ(x.rib_in[e].path, y.rib_in[e].path) << label;
+      EXPECT_EQ(x.rib_in[e].med, y.rib_in[e].med) << label;
+      EXPECT_EQ(x.rib_in[e].local_pref, y.rib_in[e].local_pref) << label;
+      EXPECT_EQ(x.rib_in[e].igp_cost, y.rib_in[e].igp_cost) << label;
+      EXPECT_EQ(x.rib_in[e].ibgp, y.rib_in[e].ibgp) << label;
     }
   }
 }
 
+/// One run over `view` in a fresh arena.
+bgp::PrefixSimResult run_view(const bgp::Engine& engine,
+                              std::shared_ptr<const bgp::PrefixView> view) {
+  bgp::SimMemory memory;
+  bgp::PrefixSimResult out;
+  engine.run_into(std::move(view), memory, nullptr, nullptr, out);
+  return out;
+}
+
 TEST(CompactedRunTest, MatchesFullRunOnFittedModel) {
-  core::Pipeline pipeline =
-      core::run_full_pipeline(core::PipelineConfig::with(0.05, 3));
-  ASSERT_TRUE(pipeline.refine_result.success);
-  const Model& model = pipeline.model;
-  const bgp::Engine engine(model);
-  analysis::ReachabilityCache cache;
-  const std::vector<PrefixWorkset> worksets =
-      analysis::compute_all_worksets(engine, {}, &cache, nullptr);
-  ASSERT_GE(worksets.size(), 20u);
-  for (const PrefixWorkset& ws : worksets) {
-    const bgp::PrefixSimResult full = engine.run(ws.prefix, ws.origin);
-    const std::shared_ptr<const bgp::PrefixView> view =
-        engine.build_view(ws.prefix, ws.origin, ws.members);
-    ASSERT_NE(view, nullptr) << ws.prefix.str();
-    const bgp::PrefixSimResult compacted = engine.run_compacted(view);
-    expect_runs_identical(model, full, compacted);
+  // The full-vs-compacted oracle at engine level, over the initial and the
+  // fitted model of each identity-matrix topology: for every prefix, the
+  // relaxed-bound view (what the refinement sweep simulates) and the exact
+  // working-set view must reproduce the identity view for every dense
+  // router, and the view-priced cost must equal the relaxed planner cost.
+  // The identity view itself must be a fixed point under every engine
+  // option set (check_convergence replays propagate() per session).
+  struct Scenario {
+    double scale;
+    std::uint64_t seed;
+  };
+  for (const Scenario scenario :
+       {Scenario{0.05, 1}, Scenario{0.08, 6}, Scenario{0.1, 3}}) {
+    core::Pipeline pipeline = core::run_full_pipeline(
+        core::PipelineConfig::with(scenario.scale, scenario.seed));
+    ASSERT_TRUE(pipeline.refine_result.success);
+    const std::string topology = std::to_string(scenario.scale) + "/" +
+                                 std::to_string(scenario.seed);
+    const Model initial = Model::one_router_per_as(pipeline.graph);
+    const Model* const models[] = {&initial, &pipeline.model};
+    for (const Model* model : models) {
+      const std::string label =
+          (model == &initial ? "initial " : "fitted ") + topology;
+      const bgp::Engine engine(*model);
+      analysis::ReachabilityCache cache;
+      analysis::WorksetOptions relaxed_options;
+      relaxed_options.exact = false;
+      const std::vector<PrefixWorkset> exact =
+          analysis::compute_all_worksets(engine, {}, &cache, nullptr);
+      ASSERT_GE(exact.size(), 20u) << label;
+      for (const PrefixWorkset& ws : exact) {
+        const std::string where = label + " " + ws.prefix.str();
+        const bgp::PrefixSimResult full = engine.run(ws.prefix, ws.origin);
+        const PrefixWorkset relaxed = analysis::compute_working_set(
+            engine, ws.prefix, ws.origin, relaxed_options, &cache, nullptr);
+        const std::shared_ptr<const bgp::PrefixView> relaxed_view =
+            engine.build_view(ws.prefix, ws.origin, relaxed.members);
+        EXPECT_EQ(analysis::view_cost(*relaxed_view), relaxed.cost) << where;
+        expect_runs_identical(*model, full, run_view(engine, relaxed_view),
+                              where + " relaxed");
+        expect_runs_identical(
+            *model, full,
+            run_view(engine, engine.build_view(ws.prefix, ws.origin,
+                                               ws.members)),
+            where + " exact");
+      }
+    }
+
+    // Identity-view fixed points on the ground truth, whose relationship
+    // classes, IGP costs and multi-router ASes every option set reads.
+    const Model& truth = pipeline.ground_truth.model;
+    bgp::EngineOptions relationship;
+    relationship.use_relationship_policies = true;
+    bgp::EngineOptions relationship_igp = relationship;
+    relationship_igp.use_igp_cost = true;
+    bgp::EngineOptions mesh;
+    mesh.use_ibgp_mesh = true;
+    for (const bgp::EngineOptions& options :
+         {bgp::EngineOptions{}, relationship, relationship_igp, mesh}) {
+      const bgp::Engine engine(truth, options);
+      for (const Asn origin : truth.asns()) {
+        const bgp::PrefixSimResult sim =
+            engine.run(Prefix::for_asn(origin), origin);
+        const analysis::Diagnostics found =
+            analysis::check_convergence(engine, sim);
+        EXPECT_TRUE(found.empty())
+            << topology << " origin " << origin << ": "
+            << found.front().code << " " << found.front().message;
+      }
+    }
   }
 }
 
@@ -270,12 +336,11 @@ TEST(CompactedRunTest, NonIdentityViewChargesPhantomMessages) {
 
   const std::shared_ptr<const bgp::PrefixView> view =
       engine.build_view(prefix, 1, ws.members);
-  ASSERT_NE(view, nullptr);
   EXPECT_FALSE(view->identity);
   const bgp::PrefixSimResult full = engine.run(prefix, 1);
-  const bgp::PrefixSimResult compacted = engine.run_compacted(view);
+  const bgp::PrefixSimResult compacted = run_view(engine, view);
   EXPECT_GT(full.messages, 0u);
-  expect_runs_identical(model, full, compacted);
+  expect_runs_identical(model, full, compacted, "deny-all chain");
   // Routers outside the view read as default-empty state.
   EXPECT_EQ(compacted.state(model.dense(RouterId{4, 0})).best, -1);
   EXPECT_TRUE(compacted.state(model.dense(RouterId{4, 0})).rib_in.empty());
@@ -407,97 +472,11 @@ TEST(PartitionTest, DominantPrefixTripsImbalanceAdvisory) {
   EXPECT_EQ(placed, worksets.size());
 }
 
-// ---- shard-executed sweep: plan edge cases ---------------------------------
-
-/// Relaxed worksets + plan for `model` at the requested shard count, the
-/// way `rdtool plan --no-exact` would produce them.
-analysis::ShardPlan plan_for(const Model& model, std::size_t shards) {
-  const bgp::Engine engine(model);
-  analysis::WorksetOptions no_exact;
-  no_exact.exact = false;
-  const std::vector<PrefixWorkset> worksets =
-      analysis::compute_all_worksets(engine, no_exact);
-  analysis::PlanOptions options;
-  options.shards = shards;
-  return analysis::plan_shards(worksets, model.num_routers(), options);
-}
-
-TEST(ShardExecutionTest, DegenerateShardCountsFitToTheFlatModel) {
-  // shards == 1 (the whole sweep in one shard) and shards far beyond the
-  // prefix count (most shards empty) are pure scheduling degenerations:
-  // both must execute and fit byte-for-byte the flat-sweep model.
-  core::Pipeline pipeline =
-      core::make_pipeline(core::PipelineConfig::with(0.05, 3));
-  core::run_data_stages(pipeline);
-
-  Model flat_model = Model::one_router_per_as(pipeline.graph);
-  core::RefineConfig flat;
-  flat.shard_sweep = false;
-  const core::RefineResult flat_result =
-      core::refine_model(flat_model, pipeline.split.training, flat);
-  ASSERT_TRUE(flat_result.success);
-  const std::string flat_text = topo::model_to_string(flat_model);
-
-  const std::size_t num_prefixes =
-      Model::one_router_per_as(pipeline.graph).asns().size();
-  for (const std::size_t shards : {std::size_t{1}, num_prefixes + 8}) {
-    Model model = Model::one_router_per_as(pipeline.graph);
-    const analysis::ShardPlan plan = plan_for(model, shards);
-    if (shards > num_prefixes) {
-      std::size_t empty = 0;
-      for (const auto& shard : plan.shards) empty += shard.prefixes.empty();
-      ASSERT_GT(empty, 0u) << "edge case not exercised";
-    }
-    core::RefineConfig config;
-    config.shard_plan = &plan;
-    const core::RefineResult result =
-        core::refine_model(model, pipeline.split.training, config);
-    EXPECT_TRUE(result.success) << shards << " shards";
-    EXPECT_GT(result.sharded_iterations, 0u) << shards << " shards";
-    EXPECT_EQ(result.iterations, flat_result.iterations) << shards << " shards";
-    EXPECT_EQ(result.messages_simulated, flat_result.messages_simulated)
-        << shards << " shards";
-    EXPECT_EQ(topo::model_to_string(model), flat_text)
-        << "fitted model differs from the flat sweep at " << shards
-        << " shards";
-  }
-}
-
-TEST(ShardExecutionTest, FingerprintMismatchStopsWithA822) {
-  // A plan computed for a different model: its workset indices would be
-  // mis-mapped, so refine_model must refuse it (A822, kFault) before
-  // touching the model.
-  topo::AsGraph other;
-  other.add_edge(1, 2);
-  other.add_edge(2, 3);
-  const Model other_model = Model::one_router_per_as(other);
-  const analysis::ShardPlan plan = plan_for(other_model, 2);
-
-  core::Pipeline pipeline =
-      core::make_pipeline(core::PipelineConfig::with(0.05, 3));
-  core::run_data_stages(pipeline);
-  Model model = Model::one_router_per_as(pipeline.graph);
-  ASSERT_NE(plan.fingerprint, analysis::plan_fingerprint(model));
-  const std::string before = topo::model_to_string(model);
-
-  core::RefineConfig config;
-  config.shard_plan = &plan;
-  const core::RefineResult result =
-      core::refine_model(model, pipeline.split.training, config);
-  EXPECT_EQ(result.stop, core::RefineStop::kFault);
-  EXPECT_FALSE(result.success);
-  EXPECT_EQ(result.iterations, 0u);
-  EXPECT_TRUE(
-      contains_code(result.diagnostics, codes::kPlanFingerprintMismatch));
-  EXPECT_EQ(topo::model_to_string(model), before)
-      << "a rejected plan must leave the model untouched";
-}
-
 TEST(ReachabilityCacheTest, PlanThenRefineSharesTheCacheInProcess) {
   // The satellite-6 regression: `rdtool plan` followed by `refine` in one
   // process used to recompute every working set.  With the shared
-  // generation-keyed cache, refine's shard scheduler and compacted sweep
-  // must hit the entries the plan already populated.
+  // generation-keyed cache, refine's working-set sweep must hit the
+  // entries the plan already populated.
   core::Pipeline pipeline =
       core::make_pipeline(core::PipelineConfig::with(0.05, 3));
   core::run_data_stages(pipeline);

@@ -81,11 +81,11 @@
 //       breakdown.  Accepts both the Chrome trace_event and the JSONL form.
 //
 //   rdtool profile TRACE [--json]
-//       Sweep profiler (DESIGN.md section 14): read the per-shard worker
-//       spans of a refine --trace run (trace level iteration or above),
-//       attribute parallel speedup loss to imbalance vs idle vs serial
-//       sections, and score the static cost model by the rank correlation
-//       of predicted vs measured shard cost.
+//       Sweep profiler (DESIGN.md section 14): read the per-prefix worker
+//       spans ("shard" spans, one prefix each) of a refine --trace run
+//       (trace level iteration or above), attribute parallel speedup loss
+//       to imbalance vs idle vs serial sections, and score the static cost
+//       model by the rank correlation of predicted vs measured cost.
 //
 //   rdtool selftest [--dir DIR]
 //       End-to-end smoke test over real files (used by ctest).
@@ -170,7 +170,8 @@ constexpr char kExitCodeTable[] =
     "  2  usage or I/O error\n"
     "exit codes (profile):\n"
     "  0  profile report produced\n"
-    "  1  trace has no sweep shard spans (not a sharded refine trace)\n"
+    "  1  trace has no sweep shard spans (not an iteration-level refine "
+    "trace)\n"
     "  2  usage or I/O error\n"
     "exit codes (refine):\n"
     "  0  fit converged: every training path RIB-Out matched\n"
@@ -269,8 +270,7 @@ std::atomic<bool> g_interrupt{false};
 void handle_interrupt(int) { g_interrupt.store(true); }
 
 /// Process-wide reachability-bound cache shared by every command that
-/// computes working sets (`plan`, `refine`'s shard scheduler and compacted
-/// sweep).  Generation-keyed per model, so commands running back to back
+/// computes working sets (`plan` and `refine`'s working-set sweep).  Generation-keyed per model, so commands running back to back
 /// in one process -- the selftest, library embedders calling the cmd_*
 /// flows -- reuse each other's session BFS results instead of recomputing
 /// them; a stale entry is just a miss.
@@ -634,7 +634,6 @@ int cmd_refine(const nb::Cli& cli) {
     w.key("prefixes_budget_exhausted")
         .value(static_cast<std::uint64_t>(result.prefixes_budget_exhausted));
     w.key("checkpoint_written").value(result.checkpoint_written);
-    w.key("sharded_iterations").value(result.sharded_iterations);
     w.key("cache").begin_object();
     w.key("hits").value(result.cache_hits);
     w.key("misses").value(result.cache_misses);
@@ -1398,10 +1397,10 @@ int cmd_stats(const nb::Cli& cli) {
 }
 
 /// `rdtool profile TRACE [--json]`: the post-run sweep profiler (DESIGN.md
-/// section 14).  Reads the per-shard spans a `refine --trace` run emits at
-/// trace level iteration or above, attributes parallel speedup loss to
-/// imbalance vs idle vs serial sections, and scores the static cost model
-/// by the rank correlation of predicted vs measured shard cost.
+/// section 14).  Reads the per-prefix "shard" spans a `refine --trace` run
+/// emits at trace level iteration or above, attributes parallel speedup
+/// loss to imbalance vs idle vs serial sections, and scores the static cost
+/// model by the rank correlation of predicted vs measured shard cost.
 int cmd_profile(const nb::Cli& cli) {
   std::string path = cli.get_string("trace", "");
   if (path.empty() && !cli.positional().empty()) path = cli.positional().front();
@@ -1453,13 +1452,13 @@ int cmd_profile(const nb::Cli& cli) {
     std::fprintf(stderr,
                  "rdtool: %s has no sweep shard spans; profile needs a trace "
                  "from `refine --trace F` at --trace-level iteration or "
-                 "above, with the shard-executed sweep on (the default)\n",
+                 "above\n",
                  path.c_str());
     return 1;
   }
-  // Attribute only the sweeps that ran shard-executed (matching what an
-  // in-process RefineResult would carry); sweeps without shard samples --
-  // single-active-prefix tail iterations -- stay in the serial share.
+  // Attribute only the sweeps that carry samples (matching what an
+  // in-process RefineResult would carry); simulate spans without them stay
+  // in the serial share.
   std::vector<obs::SweepIterationSpan> sweeps;
   for (const obs::SweepIterationSpan& span : all_sweeps) {
     for (const obs::SweepShardSample& s : samples) {
@@ -1515,14 +1514,14 @@ int cmd_profile(const nb::Cli& cli) {
   }
 
   std::printf("profile: %s\n", path.c_str());
-  std::printf("%u worker(s), %zu sharded sweep(s), %zu shard sample(s)\n",
+  std::printf("%u worker(s), %zu sweep(s), %zu shard sample(s)\n",
               profile.workers, profile.iterations, profile.shard_samples);
   std::printf("wall clock %.3fs = parallel %.3fs + serial %.3fs\n",
               profile.total_seconds, profile.parallel_seconds,
               profile.serial_seconds);
   std::printf(
-      "speedup loss: imbalance %.3fs, sweep overhead (planning/"
-      "scheduling) %.3fs, worker idle %.3fs\n",
+      "speedup loss: imbalance %.3fs, sweep overhead (scheduling) %.3fs, "
+      "worker idle %.3fs\n",
       profile.imbalance_seconds, profile.overhead_seconds,
       profile.idle_seconds);
   std::printf("measured speedup %.2fx over the same work serialized\n",
@@ -1719,8 +1718,8 @@ int cmd_selftest(const nb::Cli& cli) {
       nb::Cli sub(2, const_cast<char**>(argv));
       if (cmd_stats(sub) != 0) return 1;
     }
-    // The same trace must profile: the default sweep is shard-executed, so
-    // per-shard spans are present at trace level iteration and above.
+    // The same trace must profile: the sweep emits one span per simulated
+    // prefix at trace level iteration and above.
     {
       const char* argv[] = {"rdtool", trace_path.c_str(), "--json"};
       nb::Cli sub(3, const_cast<char**>(argv));
