@@ -19,15 +19,13 @@
 // The static working-set analyzer (analysis/workset.hpp) gets the same
 // treatment: 1-thread runs time compute_all_worksets + plan_shards over the
 // fitted model (the `rdtool plan` path) as `workset_seconds`, then replay
-// one sweep per prefix twice -- over the identity view vs over the relaxed
-// working-set view the refinement sweep simulates, each charged its view
-// construction -- to report the compacted-sweep speedup.  At scale >= 0.15
-// the speedup must exceed 1x (exit 1).  The per-prefix (static cost, measured
-// sweep seconds) samples from every 1-thread run are pooled ACROSS scales
-// and their correlation gated positive: within one scale the fitted
-// models' per-prefix workloads are deliberately uniform (measured message
-// counts are constant), so only the cross-scale pool carries predictable
-// variance.
+// one sweep per prefix over its identity view (the view the refinement
+// sweep simulates, charged its view construction).  The per-prefix (static
+// cost, measured sweep seconds) samples from every 1-thread run are pooled
+// ACROSS scales and their correlation gated positive: within one scale the
+// fitted models' per-prefix workloads are deliberately uniform (measured
+// message counts are constant), so only the cross-scale pool carries
+// predictable variance.
 //
 // Every run also records fit throughput in routers/sec (fitted quasi-
 // routers over fit wall-clock) and the process peak RSS
@@ -77,7 +75,6 @@
 
 #include "analysis/model_diff.hpp"
 #include "analysis/partition.hpp"
-#include "analysis/reachability_cache.hpp"
 #include "analysis/workset.hpp"
 #include "bgp/sim_memory.hpp"
 #include "bgp/threadpool.hpp"
@@ -116,9 +113,6 @@ struct RunResult {
   /// Working-set analyzer wall-clock: compute_all_worksets + plan_shards
   /// over the fitted model (1-thread runs only; 0 elsewhere).
   double workset_seconds = 0;
-  /// One per-prefix sweep over identity views divided by the same sweep
-  /// over relaxed working-set views (0 on multi-thread runs).
-  double compact_speedup = 0;
   double plan_imbalance = 0;
   /// Process peak RSS right after the fit (getrusage high-water mark:
   /// monotone across the process, so per-scale values are running maxima).
@@ -211,44 +205,27 @@ RunResult run_once(double scale, std::uint64_t seed, unsigned threads) {
     // Working-set analyzer leg: per-prefix working sets + shard plan over
     // the fitted model -- the path behind `rdtool plan`.
     bgp::Engine engine(model, config.refine.engine);
-    analysis::ReachabilityCache cache;
     const auto ws_start = std::chrono::steady_clock::now();
     const std::vector<analysis::PrefixWorkset> worksets =
-        analysis::compute_all_worksets(engine, {}, &cache, nullptr);
+        analysis::compute_all_worksets(engine);
     const analysis::ShardPlan plan =
         analysis::plan_shards(worksets, model.num_routers(), {}, nullptr);
     run.workset_seconds = seconds_since(ws_start);
     run.plan_imbalance = plan.imbalance;
 
-    // Cost-model samples + compacted-sweep speedup: one sweep over every
-    // prefix through identity views, the same sweep through relaxed
-    // working-set views, each leg reusing one arena like a sweep worker.
-    // Both legs charge view construction, and the relaxed leg its
-    // reachability BFS too: the model mutates every iteration, so the
-    // refinement sweep misses the reachability cache on every simulation.
-    // The (cost, seconds) pairs feed the pooled cross-scale
+    // Cost-model samples: one sweep over every prefix through identity
+    // views, reusing one arena like a sweep worker and charging view
+    // construction.  The (cost, seconds) pairs feed the pooled cross-scale
     // predicted-vs-measured correlation in main.
-    double full_total = 0, compact_total = 0;
     bgp::SimMemory memory;
     bgp::PrefixSimResult sim;
     for (const analysis::PrefixWorkset& ws : worksets) {
-      const auto full_start = std::chrono::steady_clock::now();
+      const auto start = std::chrono::steady_clock::now();
       engine.run_into(engine.identity_view(ws.prefix, ws.origin), memory,
                       nullptr, nullptr, sim);
-      const double full_seconds = seconds_since(full_start);
-      full_total += full_seconds;
       run.prefix_costs.push_back(static_cast<double>(ws.cost));
-      run.prefix_times.push_back(full_seconds);
-      const auto compact_start = std::chrono::steady_clock::now();
-      engine.run_into(
-          engine.build_view(ws.prefix, ws.origin,
-                            analysis::relaxed_reachable(
-                                model, model.find_policy(ws.prefix),
-                                ws.origin)),
-          memory, nullptr, nullptr, sim);
-      compact_total += seconds_since(compact_start);
+      run.prefix_times.push_back(seconds_since(start));
     }
-    if (compact_total > 0) run.compact_speedup = full_total / compact_total;
   }
   return run;
 }
@@ -344,7 +321,6 @@ void append_json(nb::JsonWriter& w, const RunResult& run) {
   w.key("self_diff_identical").value(run.self_diff_identical);
   // Working-set analyzer leg (1-thread runs only; 0 elsewhere).
   w.key("workset_seconds").value_fixed(run.workset_seconds, 6);
-  w.key("compact_speedup").value_fixed(run.compact_speedup, 3);
   w.key("plan_imbalance").value_fixed(run.plan_imbalance, 4);
   w.end_object();
 }
@@ -417,10 +393,9 @@ int main(int argc, char** argv) {
   std::printf("hardware threads: %u, multi-thread runs use %u\n\n",
               bgp::ThreadPool::resolve(0), multi);
   std::printf("%-7s %-8s %-6s %-9s %-10s %-10s %-10s %-12s %-9s %-8s %-8s "
-              "%-8s %-8s\n",
+              "%-8s\n",
               "scale", "threads", "iters", "routers", "simulate", "heuristic",
-              "total", "msgs/sec", "rts/sec", "rss-mb", "rspace", "workset",
-              "speedup");
+              "total", "msgs/sec", "rts/sec", "rss-mb", "rspace", "workset");
 
   bool ok = true;
   bool identical = true;
@@ -449,13 +424,13 @@ int main(int argc, char** argv) {
       }
       std::printf(
           "%-7.3f %-8u %-6zu %-9zu %-10.3f %-10.3f %-10.3f %-12.0f %-9.1f "
-          "%-8.1f %-8.3f %-8.3f %-8.2f\n",
+          "%-8.1f %-8.3f %-8.3f\n",
           scale, run.threads_used, run.refine.iterations, run.routers,
           run.refine.phase_seconds.simulate, run.refine.phase_seconds.heuristic,
           run.refine.phase_seconds.total, messages_per_second(run),
           routers_per_second(run),
           static_cast<double>(run.peak_rss_bytes) / (1024.0 * 1024.0),
-          run.route_space_seconds, run.workset_seconds, run.compact_speedup);
+          run.route_space_seconds, run.workset_seconds);
       runs.push_back(std::move(run));
       if (runs.size() - 1 != one_thread_run &&
           runs[one_thread_run].model_text != runs.back().model_text) {
@@ -571,25 +546,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Compacted-sweep gate: at scales large enough to rise above timer noise
-  // the compacted sweep must actually be faster than the plain one.
-  bool compact_pass = true;
-  for (const RunResult& run : runs) {
-    if (run.threads != 1 || run.scale < 0.15) continue;
-    if (run.compact_speedup > 0 && run.compact_speedup <= 1.0) {
-      compact_pass = false;
-      std::fprintf(stderr,
-                   "bench_refine: COMPACTED SWEEP NOT FASTER at scale %.3f "
-                   "(speedup %.3fx)\n",
-                   run.scale, run.compact_speedup);
-    }
-  }
-
   // Cost-model validation: predicted per-prefix cost vs measured sweep
   // seconds, pooled across every 1-thread run.  Within one scale the
   // fitted models' workloads are near-uniform (constant message counts),
   // so the gate needs at least two scales' worth of variance to mean
   // anything -- with one scale the correlation is reported but not gated.
+  bool cost_pass = true;
   std::vector<double> pooled_costs, pooled_times;
   std::size_t scales_pooled = 0;
   for (const RunResult& run : runs) {
@@ -606,7 +568,7 @@ int main(int argc, char** argv) {
                 "scales)\n",
                 cost_correlation, pooled_costs.size(), scales_pooled);
   if (scales_pooled >= 2 && cost_correlation <= 0) {
-    compact_pass = false;
+    cost_pass = false;
     std::fprintf(stderr,
                  "bench_refine: COST MODEL UNCORRELATED with measured "
                  "sweep time (r=%.3f over %zu samples)\n",
@@ -722,7 +684,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_refine: 1-thread wall-clock regression\n");
   if (baseline_checked && baseline_pass)
     std::printf("baseline check passed\n");
-  return (ok && identical && baseline_pass && compact_pass && parallel_pass &&
+  return (ok && identical && baseline_pass && cost_pass && parallel_pass &&
           overhead_pass)
              ? 0
              : 1;

@@ -33,13 +33,10 @@ class Checker {
         options_(options) {}
 
   Diagnostics run() {
-    // dense_size() is the model's router count at run time, whatever the
-    // view; routers outside a working-set view read as default-empty
-    // through state(), which is provably what a full run leaves them with
-    // (Engine::run_into contract).
-    if (result_.dense_size() != model_.num_routers()) {
+    // The result holds one state per router of the model at run time.
+    if (result_.routers.size() != model_.num_routers()) {
       error(codes::kSimStale, "simulation",
-            "result covers " + std::to_string(result_.dense_size()) +
+            "result covers " + std::to_string(result_.routers.size()) +
                 " routers but the model now has " +
                 std::to_string(model_.num_routers()) +
                 " (model mutated after the run)");
@@ -56,7 +53,7 @@ class Checker {
     }
     ctx_ = engine_.context();  // shared per-epoch ids, no per-check rebuild
     ids_ = ctx_->ids;
-    for (Model::Dense r = 0; r < result_.dense_size(); ++r)
+    for (Model::Dense r = 0; r < result_.routers.size(); ++r)
       check_router(r);
     if (options_.check_fixed_point) check_fixed_point();
     return std::move(out_);
@@ -69,7 +66,7 @@ class Checker {
   }
 
   void check_router(Model::Dense r) {
-    const RouterState& state = result_.state(r);
+    const RouterState& state = result_.routers[r];
     const Asn own_as = model_.router_id(r).asn();
     const int size = static_cast<int>(state.rib_in.size());
     const std::string loc = router_loc(model_, r);
@@ -164,16 +161,11 @@ class Checker {
   }
 
   void check_fixed_point() {
-    // Replaying propagation over EVERY session -- including edges that
-    // cross out of a working-set view -- doubles as a dynamic
-    // soundness check of the working set itself: if a member's best could
-    // propagate into a non-member, the non-member's empty RIB-In would
-    // report kRibInStale here.
     const topo::PrefixPolicy* policy = model_.find_policy(result_.prefix);
-    for (Model::Dense r = 0; r < result_.dense_size(); ++r) {
-      const Route* best = result_.state(r).best_route();
+    for (Model::Dense r = 0; r < result_.routers.size(); ++r) {
+      const Route* best = result_.routers[r].best_route();
       for (Model::Dense peer : model_.peers(r)) {
-        if (peer >= result_.dense_size()) continue;  // linter territory
+        if (peer >= result_.routers.size()) continue;  // linter territory
         std::optional<Route> expected;
         if (best != nullptr)
           expected = engine_.propagate(*ctx_, policy, r, peer, *best);
@@ -184,10 +176,10 @@ class Checker {
   }
 
   void check_mesh_adjacencies(Model::Dense r) {
-    const Route* external = result_.state(r).external_route();
+    const Route* external = result_.routers[r].external_route();
     for (Model::Dense mate :
          model_.routers_of(model_.router_id(r).asn())) {
-      if (mate == r || mate >= result_.dense_size()) continue;
+      if (mate == r || mate >= result_.routers.size()) continue;
       std::optional<Route> expected;
       if (external != nullptr) {
         Route shared = *external;
@@ -206,7 +198,7 @@ class Checker {
   /// equal what one more propagation step would deliver right now.
   void compare_adjacency(Model::Dense from, Model::Dense to, bool ibgp,
                          const std::optional<Route>& expected) {
-    const RouterState& state = result_.state(to);
+    const RouterState& state = result_.routers[to];
     const Route* actual = nullptr;
     for (const Route& entry : state.rib_in) {
       if (entry.sender == from && entry.ibgp == ibgp && from != to) {

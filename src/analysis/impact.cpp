@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
 #include <utility>
-
-#include "analysis/reachability_cache.hpp"
 
 namespace analysis {
 
@@ -176,21 +173,15 @@ ImpactResult compute_impact(const topo::Model& base, const ModelEdit& edit,
     const RouteSpace space_post =
         build_route_space(engine_post, prefix, origin, options.space);
     const bool truncated = space_pre.truncated || space_post.truncated;
-    std::shared_ptr<const std::vector<char>> relaxed_pre;
+    std::vector<char> relaxed_pre;
     std::vector<char> relaxed_post;
     if (truncated) {
-      // The base model's bound is cacheable across edits (ImpactOptions::
-      // cache); the post model is this call's private copy.
-      relaxed_pre =
-          options.cache != nullptr
-              ? options.cache->relaxed(base, prefix, origin)
-              : std::make_shared<const std::vector<char>>(
-                    relaxed_reachable(base, policy_pre, origin));
+      relaxed_pre = relaxed_reachable(base, policy_pre, origin);
       relaxed_post = relaxed_reachable(post, policy_post, origin);
     }
     auto may_hold = [&](Model::Dense r) {
       if (truncated) {
-        return (*relaxed_pre)[r] != 0 ||
+        return relaxed_pre[r] != 0 ||
                relaxed_post[post.dense(base.router_id(r))] != 0;
       }
       return space_pre.may_reach(r) || space_post.may_reach(r);

@@ -44,8 +44,6 @@
 
 namespace analysis {
 
-class ReachabilityCache;
-
 struct ModelEdit {
   enum class Kind : std::uint8_t {
     kSessionDown,    // remove the a<->b session
@@ -83,12 +81,6 @@ struct ImpactOptions {
   /// policy overlay of the base model (session-down edits affect every
   /// announced prefix; policy/filter edits only their own overlay's).
   std::vector<nb::Asn> origins;
-
-  /// Cache for the BASE model's relaxed-reachability bounds (consulted for
-  /// truncated prefixes), shared across compute_impact calls that analyze
-  /// many candidate edits against one model.  The post-edit model is a
-  /// per-call copy, so its bound is always computed fresh.  May be null.
-  ReachabilityCache* cache = nullptr;
 };
 
 struct PrefixImpact {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/reachability_cache.hpp"
 #include "netbase/check.hpp"
 
 namespace analysis {
@@ -39,13 +38,12 @@ std::uint64_t view_cost(const bgp::PrefixView& view,
   std::uint64_t bounded = 0;
   for (const bgp::PrefixView::Edge& edge : view.edges)
     bounded += relaxed_edge_cost(edge.deny_below_len, space);
-  return static_cast<std::uint64_t>(view.members.size()) * bounded;
+  return static_cast<std::uint64_t>(view.size()) * bounded;
 }
 
 PrefixWorkset compute_working_set(const bgp::Engine& engine,
                                   const nb::Prefix& prefix, nb::Asn origin,
                                   const WorksetOptions& options,
-                                  ReachabilityCache* cache,
                                   Diagnostics* diags) {
   const Model& model = engine.model();
   const std::size_t n = model.num_routers();
@@ -70,11 +68,7 @@ PrefixWorkset compute_working_set(const bgp::Engine& engine,
     }
   } else {
     ws.relaxed = true;
-    if (cache != nullptr) {
-      ws.members = *cache->relaxed(model, prefix, origin);
-    } else {
-      ws.members = relaxed_reachable(model, model.find_policy(prefix), origin);
-    }
+    ws.members = relaxed_reachable(model, model.find_policy(prefix), origin);
     if (diags != nullptr) {
       diags->push_back(
           {Severity::kWarning, codes::kWorksetRelaxed, prefix.str(),
@@ -122,14 +116,13 @@ PrefixWorkset compute_working_set(const bgp::Engine& engine,
 
 std::vector<PrefixWorkset> compute_all_worksets(const bgp::Engine& engine,
                                                 const WorksetOptions& options,
-                                                ReachabilityCache* cache,
                                                 Diagnostics* diags) {
   std::vector<PrefixWorkset> result;
   const std::vector<nb::Asn> asns = engine.model().asns();
   result.reserve(asns.size());
   for (const nb::Asn asn : asns) {
     result.push_back(compute_working_set(engine, nb::Prefix::for_asn(asn),
-                                         asn, options, cache, diags));
+                                         asn, options, diags));
   }
   return result;
 }

@@ -2,6 +2,14 @@
 // routers a full simulation of (prefix, origin) can ever activate, plus
 // the static cost model built on top of it (partition.hpp consumes both).
 //
+// Working sets are an analysis, not a simulation input: the engine always
+// simulates the whole model (Engine::identity_view), and these sets back
+// `rdtool plan`, the shard planner and the profiler's predicted per-prefix
+// cost (view_cost).  On fitted models the relaxed bound keeps every router
+// -- refinement only writes deny-below-length filters, and the relaxed BFS
+// only cuts kDenyAll edges -- so a view restricted to it would simulate
+// the same routers anyway.
+//
 // Soundness argument.  Engine::run activates (pops off the dirty queue)
 // exactly: the origin's routers, and routers whose route selection changed
 // after an import event.  A selection change requires an Adj-RIB-In
@@ -40,8 +48,6 @@
 #include "bgp/engine.hpp"
 
 namespace analysis {
-
-class ReachabilityCache;
 
 struct WorksetOptions {
   /// Enumeration caps for the exact MAY pass.
@@ -84,29 +90,27 @@ struct PrefixWorkset {
 std::uint64_t relaxed_edge_cost(std::uint32_t deny_below_len,
                                 const RouteSpaceOptions& space);
 
-/// The relaxed cost formula evaluated on a simulation view: members x the
-/// sum of relaxed_edge_cost over its in-set edges.  Edges leaving a
-/// relaxed working set are kDenyAll and price 0, so for the view built
-/// from the relaxed bound under agnostic engine options this equals
+/// The relaxed cost formula evaluated on a simulation view: routers x the
+/// sum of relaxed_edge_cost over its edges.  kDenyAll edges price 0, so
+/// whenever the relaxed bound keeps every router (any connected model
+/// without kDenyAll cuts, e.g. every fitted model) this equals
 /// compute_working_set(exact = false).cost -- the refinement sweep's
 /// predicted per-prefix cost without recomputing the working set.
 std::uint64_t view_cost(const bgp::PrefixView& view,
                         const RouteSpaceOptions& space = {});
 
 /// Computes the working set of (prefix, origin) against the engine's model
-/// and options.  `cache`, when non-null, serves/stores the relaxed bound
-/// (only consulted when the exact pass truncates or is disabled).  `diags`,
-/// when non-null, receives one A820 warning per relaxed fallback.
+/// and options.  `diags`, when non-null, receives one A820 warning per
+/// relaxed fallback.
 PrefixWorkset compute_working_set(const bgp::Engine& engine,
                                   const nb::Prefix& prefix, nb::Asn origin,
                                   const WorksetOptions& options = {},
-                                  ReachabilityCache* cache = nullptr,
                                   Diagnostics* diags = nullptr);
 
 /// Working sets for every prefix the refinement sweep simulates: one
 /// Prefix::for_asn(asn) per AS of the model, in ascending AS order.
 std::vector<PrefixWorkset> compute_all_worksets(
     const bgp::Engine& engine, const WorksetOptions& options = {},
-    ReachabilityCache* cache = nullptr, Diagnostics* diags = nullptr);
+    Diagnostics* diags = nullptr);
 
 }  // namespace analysis

@@ -10,15 +10,6 @@ namespace bgp {
 using topo::NeighborClass;
 using topo::PrefixPolicy;
 
-const RouterState& PrefixSimResult::state(Model::Dense r) const {
-  // Non-members of a working-set view hold no storage; a full run provably
-  // leaves them with exactly this default-empty state (every import into
-  // them fails), so the shared empty state IS their simulated outcome.
-  static const RouterState kEmpty;
-  const std::uint32_t c = view->compact_of[r];
-  return c == PrefixView::kNoCompact ? kEmpty : routers[c];
-}
-
 std::vector<std::uint32_t> dense_ids(const Model& model) {
   std::vector<std::uint32_t> ids(model.num_routers());
   for (Model::Dense r = 0; r < ids.size(); ++r)
@@ -317,10 +308,9 @@ PrefixSimResult Engine::run(const Prefix& prefix, nb::Asn origin,
   return res;
 }
 
-void Engine::run_into(std::shared_ptr<const PrefixView> view, SimMemory& mem,
+void Engine::run_into(const PrefixView& v, SimMemory& mem,
                       SimCounters* counters, std::vector<char>* activated,
                       PrefixSimResult& res) const {
-  const PrefixView& v = *view;
   RD_CHECK(v.epoch == model_->generation(),
            "Engine::run_into: view is stale (model mutated)");
   // Instrumentation accumulates in locals unconditionally (register
@@ -332,32 +322,25 @@ void Engine::run_into(std::shared_ptr<const PrefixView> view, SimMemory& mem,
   res.origin = v.origin;
   res.converged = true;
   res.messages = 0;
-  const std::size_t m = v.members.size();
-  res.view = std::move(view);
-  if (activated != nullptr) activated->assign(v.compact_of.size(), 0);
+  const std::size_t n = v.size();
+  if (activated != nullptr) activated->assign(n, 0);
 
   const std::shared_ptr<const SimContext> ctx_ptr = context();
   const std::span<const std::uint32_t> ids(ctx_ptr->ids);
+  const std::span<const nb::Asn> asn_of(ctx_ptr->asn_of);
 
-  // The divergence-guard threshold is a property of the full model, not of
-  // the view.
   const std::uint64_t message_cap =
       options_.message_cap_factor *
       std::max<std::uint64_t>(model_->num_sessions(), 1);
   res.message_cap = message_cap;
 
-  // Region capacity per member: only in-set edges and mates can install a
-  // RIB row, and sessions are symmetric (the linter enforces M101), so a
-  // member's in-set in-degree equals its in-set out-degree; the +1 for
-  // self-origination is SimMemory's.  The hash-index heuristic looks at
-  // the FULL fan-in (phantom peers included), exactly as in the identity
-  // view.  Slots are keyed by compact index; senders stay dense indices so
-  // decision tie-breaks and every consumer read identical ids.
-  mem.begin(m);
-  for (std::uint32_t c = 0; c < m; ++c) {
-    const std::uint32_t in_set = v.edge_offset[c + 1] - v.edge_offset[c] +
-                                 v.mate_offset[c + 1] - v.mate_offset[c];
-    mem.set_fan_in(c, in_set, in_set + v.phantom[c]);
+  // Region capacity per router: sessions are symmetric (the linter enforces
+  // M101), so a router's in-degree equals its out-degree plus its AS-mates;
+  // the +1 for self-origination is SimMemory's.
+  mem.begin(n);
+  for (std::uint32_t r = 0; r < n; ++r) {
+    mem.set_fan_in(r, v.edge_offset[r + 1] - v.edge_offset[r] +
+                          v.mate_offset[r + 1] - v.mate_offset[r]);
   }
   mem.finish_setup();
 
@@ -366,12 +349,11 @@ void Engine::run_into(std::shared_ptr<const PrefixView> view, SimMemory& mem,
   // learned alternative -- vacuous anyway since the empty path wins on
   // length).
   for (const Model::Dense r : model_->routers_of(v.origin)) {
-    const std::uint32_t c = v.compact_of[r];
     ++tally.rib_inserts;
-    mem.push(c, SimMemory::Attrs{r, kDefaultLocalPref, 0, 0, false}, {});
-    mem.set_best(c, 0);
-    mem.set_best_external(c, 0);
-    mem.enqueue(c);
+    mem.push(r, SimMemory::Attrs{r, kDefaultLocalPref, 0, 0, false}, {});
+    mem.set_best(r, 0);
+    mem.set_best_external(r, 0);
+    mem.enqueue(r);
   }
 
   const bool ibgp_mesh = options_.use_ibgp_mesh;
@@ -387,30 +369,24 @@ void Engine::run_into(std::shared_ptr<const PrefixView> view, SimMemory& mem,
       res.converged = false;
       break;
     }
-    const std::uint32_t c = mem.pop_front();
+    const Model::Dense r = mem.pop_front();
     ++tally.activations;
-    const Model::Dense r = v.members[c];
     if (activated != nullptr) (*activated)[r] = 1;
-    const nb::Asn from_as = v.member_asn[c];
-    // c's own region is never written during c's activation (every message
+    const nb::Asn from_as = asn_of[r];
+    // r's own region is never written during r's activation (every message
     // targets a mate or peer), so these relative indices stay valid; path
     // SPANS are re-derived at each use because pushes can move the arena.
-    const std::uint32_t c_base = mem.begin_of(c);
-    const int c_best = mem.best(c);
-
-    // Out-of-set peers: the identity view visits them, charges one message
-    // each, and provably changes nothing (the import always fails and
-    // their empty RIB-In has nothing to withdraw).  Only the charge remains.
-    messages += v.phantom[c];
+    const std::uint32_t r_base = mem.begin_of(r);
+    const int r_best = mem.best(r);
 
     // iBGP mesh: push this router's best external route to its AS-mates.
     if (ibgp_mesh) {
-      const int c_external = mem.best_external(c);
-      for (std::uint32_t e = v.mate_offset[c]; e < v.mate_offset[c + 1]; ++e) {
+      const int r_external = mem.best_external(r);
+      for (std::uint32_t e = v.mate_offset[r]; e < v.mate_offset[r + 1]; ++e) {
         const std::uint32_t mate = v.mates[e].to;
         ++messages;
         const int slot = mem.find(mate, r);
-        if (c_external < 0) {
+        if (r_external < 0) {
           if (slot < 0) continue;
           const Selection old = snapshot(mem, mate);
           ++tally.withdrawals;
@@ -420,7 +396,7 @@ void Engine::run_into(std::shared_ptr<const PrefixView> view, SimMemory& mem,
           continue;
         }
         const std::uint32_t external =
-            c_base + static_cast<std::uint32_t>(c_external);
+            r_base + static_cast<std::uint32_t>(r_external);
         const RouteView ext = mem.view_at(external);
         const std::uint32_t igp = v.mates[e].igp_cost;
         if (slot >= 0) {
@@ -457,9 +433,9 @@ void Engine::run_into(std::shared_ptr<const PrefixView> view, SimMemory& mem,
     // Unknown classes are permissive (the paper's agnostic stance: absent
     // information must not disconnect).
     bool customer_route = true;
-    if (valley_free && c_best >= 0) {
+    if (valley_free && r_best >= 0) {
       const std::span<const Asn> best_path =
-          mem.path_at(c_base + static_cast<std::uint32_t>(c_best));
+          mem.path_at(r_base + static_cast<std::uint32_t>(r_best));
       if (!best_path.empty()) {
         const NeighborClass learned =
             model_->neighbor_class(from_as, best_path.front());
@@ -468,8 +444,8 @@ void Engine::run_into(std::shared_ptr<const PrefixView> view, SimMemory& mem,
       }
     }
 
-    const std::uint32_t edges_end = v.edge_offset[c + 1];
-    for (std::uint32_t e = v.edge_offset[c]; e < edges_end; ++e) {
+    const std::uint32_t edges_end = v.edge_offset[r + 1];
+    for (std::uint32_t e = v.edge_offset[r]; e < edges_end; ++e) {
       const PrefixView::Edge& edge = v.edges[e];
       ++messages;
 
@@ -477,10 +453,10 @@ void Engine::run_into(std::shared_ptr<const PrefixView> view, SimMemory& mem,
       // receiver-side AS-loop detection, filter threshold.  The best path
       // span is re-derived per edge -- pushes can move the hop arena.
       bool has_incoming = false;
-      if (c_best >= 0 && (customer_route || !edge.customer_routes_only)) {
+      if (r_best >= 0 && (customer_route || !edge.customer_routes_only)) {
         const std::span<const Asn> best_path =
-            mem.path_at(c_base + static_cast<std::uint32_t>(c_best));
-        const nb::Asn to_as = v.member_asn[edge.to];
+            mem.path_at(r_base + static_cast<std::uint32_t>(r_best));
+        const nb::Asn to_as = asn_of[edge.to];
         if (to_as != from_as && !path_contains(best_path, to_as) &&
             best_path.size() + 1 >= edge.deny_below_len) {
           path.clear();
@@ -531,74 +507,45 @@ void Engine::run_into(std::shared_ptr<const PrefixView> view, SimMemory& mem,
   }
   res.messages = messages;
   res.activations = tally.activations;
-  export_state(mem, m, res.routers);
+  export_state(mem, n, res.routers);
   if (counters != nullptr) {
     tally.messages = messages;
     *counters = tally;
   }
 }
 
-std::shared_ptr<const PrefixView> Engine::build_view(
-    const Prefix& prefix, nb::Asn origin,
-    const std::vector<char>& workset) const {
-  RD_CHECK(workset.size() == model_->num_routers(),
-           "Engine::build_view: workset size mismatch");
-  return make_view(prefix, origin, &workset);
-}
-
-std::shared_ptr<const PrefixView> Engine::identity_view(const Prefix& prefix,
-                                                        nb::Asn origin) const {
-  return make_view(prefix, origin, nullptr);
-}
-
-std::shared_ptr<const PrefixView> Engine::make_view(
-    const Prefix& prefix, nb::Asn origin,
-    const std::vector<char>* workset) const {
+PrefixView Engine::identity_view(const Prefix& prefix, nb::Asn origin) const {
   const std::shared_ptr<const SimContext> ctx_ptr = context();
   const SimContext& ctx = *ctx_ptr;
   const std::size_t n = model_->num_routers();
 
-  auto view = std::make_shared<PrefixView>();
-  view->epoch = model_->generation();
-  view->prefix = prefix;
-  view->origin = origin;
-  view->compact_of.assign(n, PrefixView::kNoCompact);
-  for (Model::Dense r = 0; r < n; ++r) {
-    if (workset != nullptr && (*workset)[r] == 0) continue;
-    view->compact_of[r] = static_cast<std::uint32_t>(view->members.size());
-    view->members.push_back(r);
-  }
-  view->identity = view->members.size() == n;
-  for (const Model::Dense r : model_->routers_of(origin)) {
-    RD_CHECK(view->compact_of[r] != PrefixView::kNoCompact,
-             "Engine::build_view: working set excludes an origin router");
-  }
+  PrefixView view;
+  view.epoch = model_->generation();
+  view.prefix = prefix;
+  view.origin = origin;
+  // Edge k is the session from its router to ctx.peer_flat[k], so the
+  // edge offsets are the context's peer offsets.
+  view.edge_offset = ctx.peer_offset;
+  view.mate_offset.assign(n + 1, 0);
+  view.edges.resize(ctx.peer_flat.size());
+  if (options_.use_igp_cost) view.edge_igp = ctx.session_igp;
 
   const PrefixPolicy* policy = model_->find_policy(prefix);
-  const std::size_t m = view->members.size();
-  view->member_asn.resize(m);
-  view->edge_offset.assign(m + 1, 0);
-  view->mate_offset.assign(m + 1, 0);
-  view->phantom.assign(m, 0);
-  if (view->identity) view->edges.reserve(ctx.peer_flat.size());
-
-  // Receiver-side MED preference, hoisted per member: the per-prefix
+  // Receiver-side MED preference, hoisted per router: the per-prefix
   // ranking override if present, else the router's default ranking --
   // exactly how propagate_into resolves MED, but paying at most two hash
-  // probes per MEMBER instead of per edge.
-  std::vector<nb::Asn> med_pref(m, nb::kInvalidAsn);
+  // probes per ROUTER instead of per edge.
+  std::vector<nb::Asn> med_pref(n, nb::kInvalidAsn);
   const bool has_rankings = policy != nullptr && !policy->rankings.empty();
-  for (std::size_t c = 0; c < m; ++c) {
-    const Model::Dense r = view->members[c];
-    view->member_asn[c] = ctx.asn_of[r];
+  for (Model::Dense r = 0; r < n; ++r) {
     if (has_rankings) {
       if (auto it = policy->rankings.find(ctx.ids[r]);
           it != policy->rankings.end()) {
-        med_pref[c] = it->second.preferred_neighbor;
+        med_pref[r] = it->second.preferred_neighbor;
         continue;
       }
     }
-    med_pref[c] = model_->default_ranking(r);
+    med_pref[r] = model_->default_ranking(r);
   }
 
   // lp_overrides and export_allows are ground-truth-only (refinement never
@@ -607,20 +554,13 @@ std::shared_ptr<const PrefixView> Engine::make_view(
   const bool has_lp = policy != nullptr && !policy->lp_overrides.empty();
   const bool has_allows =
       relationship && policy != nullptr && !policy->export_allows.empty();
-  for (std::size_t c = 0; c < m; ++c) {
-    const Model::Dense r = view->members[c];
-    view->edge_offset[c] = static_cast<std::uint32_t>(view->edges.size());
-    const nb::Asn from_as = view->member_asn[c];
+  for (Model::Dense r = 0; r < n; ++r) {
+    const nb::Asn from_as = ctx.asn_of[r];
     for (std::uint32_t k = ctx.peer_offset[r]; k < ctx.peer_offset[r + 1];
          ++k) {
       const Model::Dense peer = ctx.peer_flat[k];
-      const std::uint32_t to_compact = view->compact_of[peer];
-      if (to_compact == PrefixView::kNoCompact) {
-        ++view->phantom[c];
-        continue;
-      }
-      PrefixView::Edge edge;
-      edge.to = to_compact;
+      PrefixView::Edge& edge = view.edges[k];
+      edge.to = peer;
       if (relationship) {
         edge.local_pref = ctx.session_lp[k];
         edge.customer_routes_only =
@@ -638,35 +578,25 @@ std::shared_ptr<const PrefixView> Engine::make_view(
           edge.local_pref = it->second;
         }
       }
-      edge.preferred = med_pref[to_compact] == from_as;
-      view->edges.push_back(edge);
-      if (options_.use_igp_cost) view->edge_igp.push_back(ctx.session_igp[k]);
+      edge.preferred = med_pref[peer] == from_as;
     }
     if (options_.use_ibgp_mesh) {
-      view->mate_offset[c] = static_cast<std::uint32_t>(view->mates.size());
+      view.mate_offset[r] = static_cast<std::uint32_t>(view.mates.size());
       for (const Model::Dense mate : model_->routers_of(from_as)) {
         if (mate == r) continue;
-        const std::uint32_t mate_compact = view->compact_of[mate];
-        if (mate_compact == PrefixView::kNoCompact) {
-          ++view->phantom[c];
-          continue;
-        }
-        view->mates.push_back(PrefixView::Mate{
-            mate_compact,
-            options_.use_igp_cost ? model_->igp_cost(mate, r) : 0});
+        view.mates.push_back(PrefixView::Mate{
+            mate, options_.use_igp_cost ? model_->igp_cost(mate, r) : 0});
       }
     }
   }
-  view->edge_offset[m] = static_cast<std::uint32_t>(view->edges.size());
   if (options_.use_ibgp_mesh)
-    view->mate_offset[m] = static_cast<std::uint32_t>(view->mates.size());
+    view.mate_offset[n] = static_cast<std::uint32_t>(view.mates.size());
 
   // Export filters, scattered from the policy map instead of probed per
   // edge: a prefix carries far fewer filters than the model has directed
   // edges, so F decode-and-place passes beat E session-key hash lookups.
-  // Filters on sessions that no longer exist (or cross out of the working
-  // set) find no edge to annotate -- the per-edge probe never saw them
-  // either.
+  // Filters on sessions that no longer exist find no edge to annotate --
+  // the per-edge probe never saw them either.
   if (policy != nullptr) {
     for (const auto& [key, filter] : policy->filters) {
       const nb::RouterId from_id =
@@ -674,14 +604,12 @@ std::shared_ptr<const PrefixView> Engine::make_view(
       const nb::RouterId to_id =
           nb::RouterId::from_value(static_cast<std::uint32_t>(key));
       if (!model_->has_router(from_id) || !model_->has_router(to_id)) continue;
-      const std::uint32_t from_c = view->compact_of[model_->dense(from_id)];
-      const std::uint32_t to_c = view->compact_of[model_->dense(to_id)];
-      if (from_c == PrefixView::kNoCompact || to_c == PrefixView::kNoCompact)
-        continue;
-      for (std::uint32_t e = view->edge_offset[from_c];
-           e < view->edge_offset[from_c + 1]; ++e) {
-        if (view->edges[e].to == to_c) {
-          view->edges[e].deny_below_len = filter.deny_below_len;
+      const Model::Dense from = model_->dense(from_id);
+      const Model::Dense to = model_->dense(to_id);
+      for (std::uint32_t e = view.edge_offset[from];
+           e < view.edge_offset[from + 1]; ++e) {
+        if (view.edges[e].to == to) {
+          view.edges[e].deny_below_len = filter.deny_below_len;
           break;
         }
       }

@@ -85,29 +85,22 @@ struct RouterState {
   }
 };
 
-/// Per-prefix simulation view (Engine::build_view / identity_view): the
-/// simulated routers with their adjacency flattened, and every attribute
-/// that depends only on (prefix, session) resolved once -- export filter
-/// threshold, valley-free gate, local-pref, MED ranking and IGP cost --
-/// so Engine::run_into never probes a policy map per message.  A full run
-/// is the identity view (every router a member, slot == dense index); a
-/// working-set view (analysis/workset.hpp) keeps only the routers a full
-/// run can ever activate.  See DESIGN.md section 12.
+/// Per-prefix simulation view (Engine::identity_view): every router of the
+/// model with its adjacency flattened, and every attribute that depends
+/// only on (prefix, session) resolved once -- export filter threshold,
+/// valley-free gate, local-pref, MED ranking and IGP cost -- so
+/// Engine::run_into never probes a policy map per message.  Slots are
+/// dense router indices.  See DESIGN.md section 12.
 struct PrefixView {
-  static constexpr std::uint32_t kNoCompact = 0xffffffffu;
-
   std::uint64_t epoch = 0;  // Model::generation() the view was built from
   Prefix prefix;
   nb::Asn origin = nb::kInvalidAsn;
-  std::vector<Model::Dense> members;    // compact index -> dense, ascending
-  std::vector<std::uint32_t> compact_of;  // dense -> compact or kNoCompact
-  std::vector<nb::Asn> member_asn;      // compact index -> owning AS
 
-  /// One in-set directed session with its import attributes pre-resolved
-  /// for this prefix (receiver side, routes from the sender's AS).  Kept
-  /// at 16 bytes: a sweep holds one view per active prefix.
+  /// One directed session with its import attributes pre-resolved for
+  /// this prefix (receiver side, routes from the sender's AS).  Kept at
+  /// 16 bytes: the view holds one per directed session.
   struct Edge {
-    std::uint32_t to = 0;              // compact receiver index
+    std::uint32_t to = 0;              // dense receiver index
     std::uint32_t deny_below_len = 0;  // 0: no filter; kDenyAll drops all
     std::uint32_t local_pref = kDefaultLocalPref;
     /// The receiver ranks the sender's AS first (per-prefix ranking, else
@@ -119,43 +112,35 @@ struct PrefixView {
     /// cross it.  The route-dependent half is checked per activation.
     bool customer_routes_only = false;
   };
-  /// edge_offset[c] .. edge_offset[c+1] delimit member c's in-set edges in
-  /// `edges`, preserving Model::peers order restricted to members.
+  /// edge_offset[r] .. edge_offset[r+1] delimit router r's out-edges in
+  /// `edges`, in Model::peers order.
   std::vector<std::uint32_t> edge_offset;
   std::vector<Edge> edges;
   /// EngineOptions::use_igp_cost only: the IGP cost of each edge (parallel
   /// to `edges`); empty otherwise.
   std::vector<std::uint32_t> edge_igp;
-  /// An in-set AS-mate of an iBGP-mesh member and the IGP cost it
-  /// assigns to routes pushed from that member.
+  /// An AS-mate of an iBGP-mesh router and the IGP cost it assigns to
+  /// routes pushed from that router.
   struct Mate {
-    std::uint32_t to = 0;  // compact index
+    std::uint32_t to = 0;  // dense index
     std::uint32_t igp_cost = 0;
   };
-  /// EngineOptions::use_ibgp_mesh only: mate_offset[c] .. mate_offset[c+1]
-  /// delimit member c's in-set AS-mates in `mates` (Model::routers_of
-  /// order); all zero otherwise.
+  /// EngineOptions::use_ibgp_mesh only: mate_offset[r] .. mate_offset[r+1]
+  /// delimit router r's AS-mates in `mates` (Model::routers_of order); all
+  /// zero otherwise.
   std::vector<std::uint32_t> mate_offset;
   std::vector<Mate> mates;
-  /// Out-of-set peers (and mates) per member.  The full run charges one
-  /// message per peer visited -- including peers whose import provably
-  /// fails -- and the divergence guard reads that total, so a working-set
-  /// run adds these counts at each activation to keep the message totals
-  /// identical.  All zero in the identity view.
-  std::vector<std::uint32_t> phantom;
-  /// Every router is a member: storage slots equal dense indices.
-  bool identity = false;
+
+  /// Number of routers (slots) the view covers.
+  std::size_t size() const { return edge_offset.size() - 1; }
 };
 
 struct PrefixSimResult {
   Prefix prefix;
   nb::Asn origin = nb::kInvalidAsn;
-  /// Per-router outcomes, indexed by the view's compact index -- the
-  /// dense router index for identity views.  Use state()/full_index() to
-  /// stay index-agnostic.
+  /// Per-router outcomes, indexed by dense router index (the model's
+  /// router count at run time).
   std::vector<RouterState> routers;
-  /// The view this result was simulated over.
-  std::shared_ptr<const PrefixView> view;
   bool converged = true;
   std::uint64_t messages = 0;
   /// Router wake-ups processed (always filled, with or without SimCounters):
@@ -166,21 +151,6 @@ struct PrefixSimResult {
   /// The divergence-guard threshold this run used
   /// (EngineOptions::message_cap_factor x max(#sessions, 1)).
   std::uint64_t message_cap = 0;
-
-  /// Number of dense router indices state() accepts -- the model's router
-  /// count at run time, whatever the view.
-  std::size_t dense_size() const { return view->compact_of.size(); }
-  /// True when `r`'s state was simulated (always, for identity views).
-  /// Routers outside a working-set view provably end every full run with
-  /// the default-empty state, which state() returns for them.
-  bool covered(Model::Dense r) const {
-    return view->compact_of[r] != PrefixView::kNoCompact;
-  }
-  /// Dense router index described by storage slot `routers[slot]`.
-  Model::Dense full_index(std::size_t slot) const {
-    return view->members[slot];
-  }
-  const RouterState& state(Model::Dense r) const;
 };
 
 /// Optional hot-loop instrumentation for the obs layer, filled by run()
@@ -255,35 +225,27 @@ class Engine {
                       SimCounters* counters = nullptr,
                       std::vector<char>* activated = nullptr) const;
 
-  /// The simulation loop.  Propagates `view->prefix` from `view->origin`
-  /// over the view's members; `memory` supplies every per-run buffer (and
-  /// keeps them for the next call -- a sweep reuses one instance per
-  /// worker), `out` is overwritten with the result and its rib_in / path
-  /// capacities are likewise recycled.  The view must come from
-  /// build_view / identity_view against the model's CURRENT generation.
+  /// The simulation loop.  Propagates `view.prefix` from `view.origin`
+  /// over every router; `memory` supplies every per-run buffer (and keeps
+  /// them for the next call -- a sweep reuses one instance per worker),
+  /// `out` is overwritten with the result and its rib_in / path capacities
+  /// are likewise recycled.  The view must come from identity_view against
+  /// the model's CURRENT generation and need only outlive the call.
   /// `counters`, when non-null, receives hot-loop instrumentation (see
   /// SimCounters).  `activated`, when non-null, is resized to the router
   /// count and flags every dense index the run popped off the dirty queue
   /// -- the dynamic ground truth the static working set
   /// (analysis/workset.hpp) must over-approximate.  Both are pure
   /// observation: the result is bit-for-bit the same with or without them,
-  /// for any SimMemory history, and for any sound working-set view every
-  /// member ends with the state the identity view gives it.
-  void run_into(std::shared_ptr<const PrefixView> view, SimMemory& memory,
+  /// and for any SimMemory history.
+  void run_into(const PrefixView& view, SimMemory& memory,
                 SimCounters* counters, std::vector<char>* activated,
                 PrefixSimResult& out) const;
 
-  /// Compiles `workset` (dense-indexed membership flags; routers outside it
-  /// must be unable to ever import a route for the prefix, e.g. a working
-  /// set from analysis::compute_working_set) into a simulation view for
-  /// the model's CURRENT generation, resolving every per-session attribute
-  /// under this engine's options.
-  std::shared_ptr<const PrefixView> build_view(
-      const Prefix& prefix, nb::Asn origin,
-      const std::vector<char>& workset) const;
-  /// build_view over every router: the view a full run simulates.
-  std::shared_ptr<const PrefixView> identity_view(const Prefix& prefix,
-                                                  nb::Asn origin) const;
+  /// Compiles the simulation view of (prefix, origin) for the model's
+  /// CURRENT generation, resolving every per-session attribute under this
+  /// engine's options.
+  PrefixView identity_view(const Prefix& prefix, nb::Asn origin) const;
 
   /// The simulation context for the model's CURRENT generation, (re)building
   /// it if the model mutated since the last call.  Thread-safe: concurrent
@@ -295,7 +257,7 @@ class Engine {
   /// One hop of propagation in isolation: the route `to` would install if
   /// `from` advertised `best` over their session right now, or nullopt when
   /// export rules, filters or loop detection drop it.  This is the
-  /// reference semantics the per-edge resolution in build_view and the
+  /// reference semantics the per-edge resolution in identity_view and the
   /// run_into loop must reproduce; analysis::check_convergence replays it
   /// per session to prove a simulation result is a fixed point.
   std::optional<Route> propagate(const topo::PrefixPolicy* policy,
@@ -328,11 +290,6 @@ class Engine {
   /// Local-pref for routes from a neighbor of class `cls` under
   /// relationship policies.
   std::uint32_t relationship_local_pref(topo::NeighborClass cls) const;
-  /// build_view / identity_view: `workset` null means every router.
-  std::shared_ptr<const PrefixView> make_view(
-      const Prefix& prefix, nb::Asn origin,
-      const std::vector<char>* workset) const;
-
   const Model* model_;
   EngineOptions options_;
   mutable std::mutex context_mutex_;

@@ -64,20 +64,15 @@ class SimMemory {
     any_indexed_ = false;
   }
 
-  /// `capacity_fan_in` bounds the distinct senders that can ever hold a RIB
-  /// row in this slot; `index_fan_in` is the (possibly larger) message
-  /// fan-in the hash-index heuristic looks at -- a working-set view counts
-  /// phantom peers there, which charge messages but never install rows.
-  void set_fan_in(std::uint32_t slot, std::uint32_t capacity_fan_in,
-                  std::uint32_t index_fan_in) {
-    region_off_[slot + 1] = capacity_fan_in + 1;
-    if (index_fan_in >= kIndexedFanIn) {
+  /// `fan_in` bounds the distinct senders that can ever hold a RIB row in
+  /// this slot; at kIndexedFanIn and above, sender lookups go through a
+  /// hash index.
+  void set_fan_in(std::uint32_t slot, std::uint32_t fan_in) {
+    region_off_[slot + 1] = fan_in + 1;
+    if (fan_in >= kIndexedFanIn) {
       indexed_[slot] = 1;
       any_indexed_ = true;
     }
-  }
-  void set_fan_in(std::uint32_t slot, std::uint32_t fan_in) {
-    set_fan_in(slot, fan_in, fan_in);
   }
 
   void finish_setup() {

@@ -41,15 +41,11 @@ std::uint64_t fingerprint_policy(const topo::Model& model, nb::Prefix prefix) {
 
 std::uint64_t fingerprint_selections(const bgp::PrefixSimResult& sim,
                                      std::span<const std::uint32_t> ids) {
-  // Seeded by the DENSE router count and keyed by dense-index ids: a
-  // working-set result (PrefixSimResult::view) hashes identically to the
-  // identity-view run it mirrors -- routers outside the working set hold no best
-  // route in either, so they contribute nothing.
-  std::uint64_t hash = mix_u64(sim.dense_size());
-  for (std::size_t slot = 0; slot < sim.routers.size(); ++slot) {
-    const bgp::Route* best = sim.routers[slot].best_route();
+  // Seeded by the router count and keyed by dense-index ids.
+  std::uint64_t hash = mix_u64(sim.routers.size());
+  for (std::size_t r = 0; r < sim.routers.size(); ++r) {
+    const bgp::Route* best = sim.routers[r].best_route();
     if (best == nullptr) continue;
-    const topo::Model::Dense r = sim.full_index(slot);
     if (r >= ids.size()) continue;
     // FNV-1a over the path; hop order matters, so this part is sequential.
     std::uint64_t path_hash = 1469598103934665603ull;

@@ -14,7 +14,6 @@
 #include "analysis/check_convergence.hpp"
 #include "analysis/dispute_graph.hpp"
 #include "analysis/policy_audit.hpp"
-#include "analysis/reachability_cache.hpp"
 #include "analysis/validate_model.hpp"
 #include "analysis/workset.hpp"
 #include "bgp/sim_memory.hpp"
@@ -138,7 +137,7 @@ class Refiner {
   /// through re-simulation).
   Model::Dense snapshot_proxy(const PrefixSimResult& sim,
                               Model::Dense r) const {
-    if (r < sim.dense_size()) return r;
+    if (r < sim.routers.size()) return r;
     const auto it = alias_.find(r);
     return it == alias_.end() ? Model::kNoRouter : it->second;
   }
@@ -174,7 +173,7 @@ Refiner::Candidates Refiner::scan(
   for (Model::Dense r : model_.routers_of(a)) {
     const Model::Dense proxy = snapshot_proxy(sim, r);
     if (proxy == Model::kNoRouter) continue;  // no simulated stand-in
-    const bgp::RouterState& state = sim.state(proxy);
+    const bgp::RouterState& state = sim.routers[proxy];
     const auto reservation = reserved.find(r);
     // Reserved for the same suffix == available for this suffix.
     const bool is_reserved =
@@ -253,7 +252,7 @@ bool Refiner::try_filter_deletion(const PrefixWork& work,
   for (Model::Dense q : model_.routers_of(announcing)) {
     const Model::Dense proxy = snapshot_proxy(sim, q);
     if (proxy == Model::kNoRouter) continue;
-    const bgp::Route* best = sim.state(proxy).best_route();
+    const bgp::Route* best = sim.routers[proxy].best_route();
     if (best == nullptr || !route_path_equals(best->path, neighbor_route))
       continue;
     const RouterId q_id = model_.router_id(q);
@@ -362,11 +361,11 @@ bool Refiner::process(PrefixWork& work, const PrefixSimResult& sim,
   return changed;
 }
 
-/// Serialized access to the checkpoint file.  The loop writes between
-/// iterations today, but the interrupt and fault paths can both request a
-/// save around the same boundary (and sharded refiners will write from
-/// more than one place), so the writer owns a mutex and clang's
-/// thread-safety analysis checks it is taken for every write.
+/// Serialized access to the checkpoint file.  Every save runs on the
+/// refining thread between iterations -- after an iteration, on interrupt
+/// or after a sweep fault -- never from a sweep worker; the writer still
+/// owns a mutex, and clang's thread-safety analysis checks it is taken for
+/// every write.
 class CheckpointWriter {
  public:
   explicit CheckpointWriter(std::string path) : path_(std::move(path)) {}
@@ -596,32 +595,11 @@ RefineResult refine_model(topo::Model& model,
       flight->record(0, obs::FlightEventType::kCheckpoint,
                      completed_iteration, saved ? 1 : 0);
   };
-  // Reachability bounds back the sweep's relaxed working-set views and --
-  // via RefineConfig::reachability_cache -- are shared with callers that
-  // already computed worksets for this model in-process (rdtool plan |
-  // refine); the cache is generation-keyed, so a stale injected cache just
-  // misses.  Stats are
-  // reported as deltas against entry so a shared cache only charges this
-  // fit's traffic.
-  analysis::ReachabilityCache local_cache;
-  analysis::ReachabilityCache& reach_cache =
-      config.reachability_cache != nullptr ? *config.reachability_cache
-                                           : local_cache;
-  const analysis::ReachabilityCache::Stats cache_start = reach_cache.stats();
   const auto finish = [&]() -> RefineResult {
     total_timer.stop();
     result.phase_seconds.total = total_timer.seconds();
-    const analysis::ReachabilityCache::Stats cache_end = reach_cache.stats();
-    result.cache_hits = cache_end.hits - cache_start.hits;
-    result.cache_misses = cache_end.misses - cache_start.misses;
-    result.cache_invalidations =
-        cache_end.invalidations - cache_start.invalidations;
-    if (reg != nullptr) {
-      reg->add(metrics.cache_hits, result.cache_hits);
-      reg->add(metrics.cache_misses, result.cache_misses);
-      reg->add(metrics.cache_invalidations, result.cache_invalidations);
+    if (reg != nullptr)
       reg->set_gauge(metrics.peak_rss_bytes, nb::peak_rss_bytes());
-    }
     if (flight != nullptr) {
       flight->record(0, obs::FlightEventType::kStop,
                      static_cast<std::uint64_t>(result.stop),
@@ -730,22 +708,9 @@ RefineResult refine_model(topo::Model& model,
     std::uint64_t predicted_cost = 0;
   };
 
-  // Simulation views (DESIGN.md section 12).  Under agnostic engine options
-  // each prefix simulates over its relaxed working set: sound (routers
-  // outside it sit behind kDenyAll filters, so a full run provably leaves
-  // them empty) and one session BFS per (generation, prefix), served by
-  // reach_cache.  The relaxed bound ignores valley-free gates and iBGP
-  // pushes, so every other option set simulates the identity view.
-  const bool agnostic = !config.engine.use_relationship_policies &&
-                        !config.engine.use_igp_cost &&
-                        !config.engine.use_ibgp_mesh;
-  const auto view_for = [&](const PrefixWork& w) {
-    if (!agnostic) return engine.identity_view(w.prefix, w.origin);
-    return engine.build_view(w.prefix, w.origin,
-                             *reach_cache.relaxed(model, w.prefix, w.origin));
-  };
-  // The profiler prices each prefix with the planner's relaxed cost model
-  // at its default caps (analysis::view_cost).
+  // Each prefix simulates over its identity view, the whole model (DESIGN.md
+  // section 12).  The profiler prices each prefix with the planner's
+  // relaxed cost model at its default caps (analysis::view_cost).
   const analysis::RouteSpaceOptions cost_space;
   // One simulation arena per pool slot: parallel_for_worker guarantees a
   // slot is owned by one thread per batch, so sweeps reuse these buffers
@@ -815,13 +780,13 @@ RefineResult refine_model(topo::Model& model,
         const PrefixWork& w = work[active_index[i]];
         bgp::SimMemory& mem = sim_memory[worker];
         const std::uint64_t t0 = counting ? sweep_now_us() : 0;
-        std::shared_ptr<const bgp::PrefixView> view = view_for(w);
+        const bgp::PrefixView view = engine.identity_view(w.prefix, w.origin);
         const std::uint64_t predicted =
-            counting ? analysis::view_cost(*view, cost_space) : 0;
+            counting ? analysis::view_cost(view, cost_space) : 0;
         if (flight != nullptr)
           flight->record(1 + worker, obs::FlightEventType::kShardStart,
                          iteration, i, predicted);
-        engine.run_into(std::move(view), mem,
+        engine.run_into(view, mem,
                         counting ? &sim_counters[i] : nullptr, nullptr,
                         sims[i]);
         const std::uint64_t arena = mem.footprint_bytes();

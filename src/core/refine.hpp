@@ -33,9 +33,11 @@
 //
 // Execution model (DESIGN.md section 8): each iteration is a simulate-in-
 // parallel / mutate-serially round.  All active prefixes are simulated
-// against the immutable iteration-start model (embarrassingly parallel,
-// fanned across RefineConfig::threads), then the heuristic consumes the
-// results serially in deterministic prefix order.  The same independence
+// over the whole immutable iteration-start model -- every quasi-router, as
+// the paper's loop re-simulates it (Section 4.6; DESIGN.md section 12) --
+// embarrassingly parallel and fanned across RefineConfig::threads, then
+// the heuristic consumes the results serially in deterministic prefix
+// order.  The same independence
 // argument as freezing applies within a round: policies are per-prefix, and
 // a duplicate another prefix's apply step adds never changes this prefix's
 // simulated routes.  Duplicates minted earlier in the same apply pass ARE
@@ -63,10 +65,6 @@ namespace obs {
 struct Observer;
 class FlightRecorder;
 }  // namespace obs
-
-namespace analysis {
-class ReachabilityCache;
-}  // namespace analysis
 
 namespace topo {
 struct RefineCheckpoint;
@@ -121,15 +119,6 @@ struct RefineConfig {
   /// no iBGP) is the paper's choice; use_ibgp_mesh reproduces the rejected
   /// alternative of Section 4.6.
   bgp::EngineOptions engine;
-
-  /// Shared generation-keyed reachability cache (analysis/workset).  Under
-  /// agnostic engine options the sweep simulates each prefix over its
-  /// relaxed working set (DESIGN.md section 12); when non-null, those BFS
-  /// results are read from / written to this cache, so callers that
-  /// already ran a plan or workset analysis in-process (rdtool plan before
-  /// refine) reuse them instead of recomputing; when null, refine_model
-  /// keeps a private cache.
-  analysis::ReachabilityCache* reachability_cache = nullptr;
 
   // Ablation switches (bench_ablation): disabling any of these degrades the
   // fixpoint, quantifying each mechanism's contribution.
@@ -293,12 +282,11 @@ struct RefineResult {
   /// faulted stop with RefineConfig::flight_dump_path set).
   bool flight_dump_written = false;
 
-  /// Shared reachability-cache activity during this fit (deltas against the
-  /// cache's state at entry, so a caller-shared cache reports only this
-  /// fit's traffic).  All zero when no working-set machinery ran.
+  /// Always 0: the sweep simulates the whole model and caches no
+  /// reachability bounds.  Kept so existing readers of the fields (the
+  /// perfbench harness's cache_hit_ratio) still compile; they read 0.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t cache_invalidations = 0;
 
   /// Sweep-profiler raw material (DESIGN.md section 14): one sample per
   /// simulated prefix of every instrumented sweep (a profile "shard" is one

@@ -33,9 +33,6 @@ RefineMetricSet RefineMetricSet::define(Registry& registry) {
   m.messages_per_prefix = registry.histogram(
       "engine.messages_per_prefix",
       {4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144});
-  m.cache_hits = registry.counter("cache.hits");
-  m.cache_misses = registry.counter("cache.misses");
-  m.cache_invalidations = registry.counter("cache.invalidations");
   m.peak_rss_bytes = registry.gauge("process.peak_rss_bytes");
   return m;
 }

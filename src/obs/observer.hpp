@@ -58,12 +58,6 @@ struct RefineMetricSet {
   std::array<CounterId, bgp::kNumDecisionSteps> eliminated;
   /// engine.messages_per_prefix (bounds: powers of four).
   HistogramId messages_per_prefix;
-  /// cache.{hits,misses,invalidations}: shared reachability-cache activity
-  /// observed during the fit (deltas, so a shared process-wide cache does
-  /// not leak earlier commands' traffic into this fit's numbers).
-  CounterId cache_hits;
-  CounterId cache_misses;
-  CounterId cache_invalidations;
   /// process.peak_rss_bytes -- nb::peak_rss_bytes() sampled once when the
   /// fit finishes (a process high-water mark, so monotone across fits).
   GaugeId peak_rss_bytes;

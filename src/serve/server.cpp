@@ -336,7 +336,7 @@ std::string Server::execute(const ServeRequest& request,
         response = handle_predict(request, memory);
         break;
       case ServeRequest::Op::kExplain:
-        response = handle_explain(request);
+        response = handle_explain(request, memory);
         break;
       case ServeRequest::Op::kWhatIf:
         response = handle_whatif(request, deadline);
@@ -426,14 +426,17 @@ std::string Server::handle_predict(const ServeRequest& request,
   return json.str();
 }
 
-std::string Server::handle_explain(const ServeRequest& request) {
+std::string Server::handle_explain(const ServeRequest& request,
+                                   bgp::SimMemory& memory) {
   if (!model_.has_as(request.origin) || !model_.has_as(request.vantage)) {
     return render_failure(request.id, "error",
                           analysis::codes::kServeBadRequest,
                           "origin and as must name ASes in the model");
   }
-  const auto sim =
-      engine_.run(nb::Prefix::for_asn(request.origin), request.origin);
+  bgp::PrefixSimResult sim;
+  const nb::Prefix prefix = nb::Prefix::for_asn(request.origin);
+  engine_.run_into(engine_.identity_view(prefix, request.origin), memory,
+                   nullptr, nullptr, sim);
   nb::JsonWriter json;
   begin_response(&json, request.id, "ok");
   json.key("op").value("explain");

@@ -6,7 +6,8 @@
 //  * Concurrency: a fixed worker pool executes read-only queries against
 //    one shared Engine whose epoch-cached SimContext snapshot makes
 //    concurrent const run() calls safe; each worker owns a SimMemory
-//    arena, so the steady state allocates (amortized) nothing per query.
+//    arena that predict and explain simulate in, so the steady state
+//    allocates (amortized) nothing per simulation.
 //    What-if queries run against copy-on-write model forks cached by edit
 //    key and base-model generation (Model::generation()).
 //  * Deadlines: every request gets a wall-clock deadline (server default,
@@ -218,7 +219,8 @@ class Server {
                       bgp::SimMemory& memory, unsigned worker);
   std::string handle_predict(const ServeRequest& request,
                              bgp::SimMemory& memory);
-  std::string handle_explain(const ServeRequest& request);
+  std::string handle_explain(const ServeRequest& request,
+                             bgp::SimMemory& memory);
   std::string handle_whatif(const ServeRequest& request,
                             std::chrono::steady_clock::time_point deadline);
   std::string handle_health(const ServeRequest& request);

@@ -183,7 +183,7 @@ TEST(ExplainTest, CandidatesCoverEntireRibIn) {
   const Model::Dense observer = model.routers_of(5).front();
   const auto explanation = bgp::explain_selection(model, sim, observer);
   EXPECT_EQ(explanation.candidates.size(),
-            sim.state(observer).rib_in.size());
+            sim.routers[observer].rib_in.size());
   std::size_t best = 0;
   for (const auto& candidate : explanation.candidates)
     if (candidate.is_best) ++best;

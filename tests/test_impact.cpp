@@ -93,8 +93,8 @@ std::size_t check_soundness(const Model& base, const ModelEdit& edit,
     const auto it = impact_by_prefix.find(prefix);
     for (Model::Dense r = 0; r < base.num_routers(); ++r) {
       // apply_edit never removes routers, so dense indices agree.
-      if (!routes_differ(pre.state(r).best_route(),
-                         sim_post.state(r).best_route())) {
+      if (!routes_differ(pre.routers[r].best_route(),
+                         sim_post.routers[r].best_route())) {
         continue;
       }
       ++changed_total;

@@ -1,10 +1,13 @@
 // Determinism and caching tests for the parallel refinement sweep: the
 // fitted model must be byte-identical for every worker count, the pooled
 // per-prefix simulations must equal their serial counterparts, and the
-// engine's epoch context must track model mutations.  Also runs under the
-// tsan preset, which exercises the simulate-in-parallel phase for races.
+// engine's epoch context must track model mutations.  The identity
+// matrix also pins the premise of the sweep profiler's predicted cost on
+// the fitted models.  Also runs under the tsan preset, which exercises the
+// simulate-in-parallel phase for races.
 #include <gtest/gtest.h>
 
+#include "analysis/workset.hpp"
 #include "bgp/driver.hpp"
 #include "bgp/engine.hpp"
 #include "core/pipeline.hpp"
@@ -18,6 +21,7 @@ using nb::Prefix;
 using topo::Model;
 
 struct Fit {
+  Model model;
   std::string model_text;
   core::RefineResult result;
 };
@@ -27,12 +31,12 @@ Fit fit_at(double scale, std::uint64_t seed, unsigned threads) {
   core::Pipeline pipeline = core::make_pipeline(config);
   core::run_data_stages(pipeline);
 
-  Model model = Model::one_router_per_as(pipeline.graph);
+  Fit fit;
+  fit.model = Model::one_router_per_as(pipeline.graph);
   core::RefineConfig refine;
   refine.threads = threads;
-  Fit fit;
-  fit.result = core::refine_model(model, pipeline.split.training, refine);
-  fit.model_text = topo::model_to_string(model);
+  fit.result = core::refine_model(fit.model, pipeline.split.training, refine);
+  fit.model_text = topo::model_to_string(fit.model);
   return fit;
 }
 
@@ -78,6 +82,22 @@ TEST_P(ParallelFit, ModelIsByteIdenticalAcrossThreadAndShardSchedules) {
     const Fit fit = fit_at(scale, seed, threads);
     expect_same_fit(serial, fit,
                     "sweep at threads=" + std::to_string(threads));
+  }
+
+  // The profiler prices each simulated prefix with view_cost over its
+  // identity view; on a fitted model that must equal the relaxed planner
+  // cost (refinement writes no kDenyAll filter, so the relaxed working set
+  // keeps every router).
+  const bgp::Engine engine(serial.model);
+  analysis::WorksetOptions relaxed;
+  relaxed.exact = false;
+  const std::vector<analysis::PrefixWorkset> worksets =
+      analysis::compute_all_worksets(engine, relaxed);
+  ASSERT_GE(worksets.size(), 20u);
+  for (const analysis::PrefixWorkset& ws : worksets) {
+    EXPECT_EQ(analysis::view_cost(engine.identity_view(ws.prefix, ws.origin)),
+              ws.cost)
+        << ws.prefix.str();
   }
 }
 

@@ -1,11 +1,13 @@
 // Arena simulation memory (bgp/sim_memory.hpp): Engine::run_into against
 // one reused per-worker SimMemory must be bit-for-bit the allocating run()
 // (or a fresh arena) for ANY arena history -- across every per-AS prefix
-// of policy-rich generated topologies, across models of different sizes
-// sharing one arena, under candidate fan-in past the indexed-map capacity,
-// and over working-set views.  This is the unit-level half of the byte-identity
-// argument in DESIGN.md section 13; tests/test_refine_parallel.cpp
-// proves the end-to-end half on fitted models.
+// of policy-rich generated topologies under every engine option set,
+// across models of different sizes sharing one arena, and under candidate
+// fan-in past the indexed-map capacity.  Every allocating run must also be
+// a fixed point (check_convergence).  This is the unit-level half of the
+// byte-identity argument in DESIGN.md section 13;
+// tests/test_refine_parallel.cpp proves the end-to-end half on fitted
+// models.
 #include "bgp/sim_memory.hpp"
 
 #include <gtest/gtest.h>
@@ -14,8 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/workset.hpp"
+#include "analysis/check_convergence.hpp"
 #include "bgp/engine.hpp"
+#include "core/pipeline.hpp"
 #include "data/ground_truth.hpp"
 #include "data/internet_gen.hpp"
 
@@ -40,8 +43,7 @@ std::string sim_text(const PrefixSimResult& sim) {
       << '\n';
   for (std::size_t slot = 0; slot < sim.routers.size(); ++slot) {
     const bgp::RouterState& state = sim.routers[slot];
-    out << "slot " << slot << " dense=" << sim.full_index(slot)
-        << " best=" << state.best << " best_external=" << state.best_external
+    out << "router " << slot << " best=" << state.best << " best_external=" << state.best_external
         << '\n';
     for (const bgp::Route& route : state.rib_in) {
       out << "  sender=" << route.sender << " lp=" << route.local_pref
@@ -67,20 +69,20 @@ struct Fixture {
   data::GroundTruth gt;
 };
 
+/// The ground truth core::run_full_pipeline builds for (scale, seed).
 Fixture generated(double scale, unsigned seed) {
-  data::InternetConfig config;
-  config = config.scaled(scale);
-  config.seed = seed;
+  const core::PipelineConfig config = core::PipelineConfig::with(scale, seed);
   Fixture fixture;
-  fixture.internet = data::generate_internet(config);
-  fixture.gt = data::build_ground_truth(fixture.internet, {});
+  fixture.internet = data::generate_internet(config.internet);
+  fixture.gt = data::build_ground_truth(fixture.internet, config.ground_truth);
   return fixture;
 }
 
 /// Sweeps every per-AS prefix of `model` twice -- allocating run() and
 /// run_into() against the single `memory` the caller threads through, so
 /// each prefix sees the arena state the previous ones left behind -- and
-/// requires identical results, counters and activation flags.
+/// requires identical results, counters and activation flags, and a fixed
+/// point.
 void expect_arena_matches_full(const Model& model,
                                const bgp::EngineOptions& options,
                                SimMemory& memory, const std::string& label) {
@@ -100,20 +102,43 @@ void expect_arena_matches_full(const Model& model,
         << label << ": prefix " << prefix.str();
     EXPECT_EQ(fresh_activated, arena_activated)
         << label << ": prefix " << prefix.str();
+    const analysis::Diagnostics found =
+        analysis::check_convergence(engine, fresh);
+    EXPECT_TRUE(found.empty())
+        << label << ": prefix " << prefix.str() << ": " << found.front().code
+        << " " << found.front().message;
   }
 }
 
 TEST(SimMemoryTest, ArenaRunMatchesAllocatingRunOnGeneratedTopologies) {
   // Policy-rich ground truths (relationship policies, filters, local-pref
-  // overrides) at two scales/seeds, all sweeping through ONE arena: the
-  // second topology inherits whatever high-water buffers the first grew.
+  // overrides, multi-router ASes) at three scales/seeds, each under every
+  // engine option set -- agnostic, relationship policies, relationship
+  // policies + IGP costs (the ground truth's own), iBGP mesh -- all
+  // sweeping through ONE arena: every leg inherits whatever high-water
+  // buffers the earlier ones grew.
+  bgp::EngineOptions relationship;
+  relationship.use_relationship_policies = true;
+  bgp::EngineOptions relationship_igp = relationship;
+  relationship_igp.use_igp_cost = true;
+  bgp::EngineOptions mesh;
+  mesh.use_ibgp_mesh = true;
+  const std::pair<const char*, bgp::EngineOptions> option_sets[] = {
+      {"agnostic", bgp::EngineOptions{}},
+      {"relationship", relationship},
+      {"relationship+igp", relationship_igp},
+      {"ibgp-mesh", mesh},
+  };
   SimMemory memory;
   for (const auto& [scale, seed] : {std::pair<double, unsigned>{0.05, 1},
-                                    std::pair<double, unsigned>{0.08, 6}}) {
+                                    std::pair<double, unsigned>{0.08, 6},
+                                    std::pair<double, unsigned>{0.1, 3}}) {
     const Fixture fixture = generated(scale, seed);
-    expect_arena_matches_full(fixture.gt.model,
-                              fixture.gt.config.engine_options(), memory,
-                              "scale " + std::to_string(scale));
+    for (const auto& [name, options] : option_sets) {
+      expect_arena_matches_full(
+          fixture.gt.model, options, memory,
+          "scale " + std::to_string(scale) + " " + name);
+    }
   }
 }
 
@@ -138,40 +163,6 @@ TEST(SimMemoryTest, ArenaSurvivesFanInPastIndexedCapacity) {
   const std::size_t hub = model.dense(nb::RouterId{1, 0});
   ASSERT_GT(fresh.routers[hub].rib_in.size(), SimMemory::kIndexedFanIn);
   EXPECT_EQ(sim_text(fresh), sim_text(arena_result));
-}
-
-TEST(SimMemoryTest, ArenaCompactedRunMatchesAllocatingCompactedRun) {
-  // Working-set views (exact worksets, so most are non-identity) under the
-  // agnostic options the refinement sweep runs and under the ground
-  // truth's relationship policies + IGP costs: the shared arena must
-  // reproduce a fresh arena's run for every prefix.
-  const Fixture fixture = generated(0.08, 6);
-  const Model& model = fixture.gt.model;
-  for (const bgp::EngineOptions& options :
-       {bgp::EngineOptions{}, fixture.gt.config.engine_options()}) {
-    const Engine engine(model, options);
-    SimMemory memory;
-    PrefixSimResult arena_result;
-    std::size_t partial_views = 0;
-    for (Asn origin : model.asns()) {
-      const Prefix prefix = Prefix::for_asn(origin);
-      const analysis::PrefixWorkset workset =
-          analysis::compute_working_set(engine, prefix, origin, {});
-      auto view = engine.build_view(prefix, origin, workset.members);
-      partial_views += view->identity ? 0 : 1;
-      SimCounters fresh_counters, arena_counters;
-      SimMemory fresh_memory;
-      PrefixSimResult fresh;
-      engine.run_into(view, fresh_memory, &fresh_counters, nullptr, fresh);
-      engine.run_into(std::move(view), memory, &arena_counters, nullptr,
-                      arena_result);
-      ASSERT_EQ(sim_text(fresh), sim_text(arena_result))
-          << "prefix " << prefix.str();
-      EXPECT_EQ(counter_text(fresh_counters), counter_text(arena_counters))
-          << "prefix " << prefix.str();
-    }
-    EXPECT_GT(partial_views, 0u);
-  }
 }
 
 }  // namespace

@@ -4,27 +4,18 @@
 // prefixes were frozen by budgets, oscillation guards or injected faults --
 // every router a full simulation activates must be contained in the
 // statically computed working set, the same way test_impact.cpp gates the
-// impact closure.  Also pins the working-set view's byte identity against
-// the identity view (including non-identity views with phantom message
-// charging, on initial and fitted models), the view-priced cost model, the
-// identity view's fixed point under every engine option set, the
-// relaxed/A820 fallback, the reachability cache's generation keying (and
-// its sharing between plan and refine in-process), and the greedy shard
-// planner's determinism, balance and A821 advisory.
+// impact closure.  Also pins the relaxed/A820 fallback and the greedy
+// shard planner's determinism, balance and A821 advisory.
 #include "analysis/workset.hpp"
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "analysis/check_convergence.hpp"
 #include "analysis/fixtures.hpp"
 #include "analysis/partition.hpp"
-#include "analysis/reachability_cache.hpp"
-#include "bgp/sim_memory.hpp"
 #include "core/fault_inject.hpp"
 #include "core/pipeline.hpp"
 #include "core/refine.hpp"
@@ -50,9 +41,8 @@ std::size_t check_soundness(const Model& model,
                             const std::string& label,
                             bool expect_converged = true) {
   const bgp::Engine engine(model, engine_options);
-  analysis::ReachabilityCache cache;
   const std::vector<PrefixWorkset> worksets =
-      analysis::compute_all_worksets(engine, {}, &cache, nullptr);
+      analysis::compute_all_worksets(engine);
   std::size_t activated_total = 0;
   for (const PrefixWorkset& ws : worksets) {
     std::vector<char> activated;
@@ -206,146 +196,6 @@ TEST(WorksetTest, ExactBoundExcludesRoutersBehindDenyAllAndStaysSound) {
   }
 }
 
-/// Identity-view vs working-set-view equality: states of every dense
-/// router, selection indices, message and activation counters.
-void expect_runs_identical(const Model& model, const bgp::PrefixSimResult& a,
-                           const bgp::PrefixSimResult& b,
-                           const std::string& label) {
-  EXPECT_EQ(a.converged, b.converged) << label;
-  EXPECT_EQ(a.messages, b.messages) << label;
-  EXPECT_EQ(a.activations, b.activations) << label;
-  EXPECT_EQ(a.message_cap, b.message_cap) << label;
-  ASSERT_EQ(a.dense_size(), b.dense_size()) << label;
-  for (Model::Dense r = 0; r < model.num_routers(); ++r) {
-    const bgp::RouterState& x = a.state(r);
-    const bgp::RouterState& y = b.state(r);
-    ASSERT_EQ(x.rib_in.size(), y.rib_in.size())
-        << label << " " << model.router_id(r).str();
-    EXPECT_EQ(x.best, y.best) << label;
-    EXPECT_EQ(x.best_external, y.best_external) << label;
-    for (std::size_t e = 0; e < x.rib_in.size(); ++e) {
-      EXPECT_EQ(x.rib_in[e].sender, y.rib_in[e].sender) << label;
-      EXPECT_EQ(x.rib_in[e].path, y.rib_in[e].path) << label;
-      EXPECT_EQ(x.rib_in[e].med, y.rib_in[e].med) << label;
-      EXPECT_EQ(x.rib_in[e].local_pref, y.rib_in[e].local_pref) << label;
-      EXPECT_EQ(x.rib_in[e].igp_cost, y.rib_in[e].igp_cost) << label;
-      EXPECT_EQ(x.rib_in[e].ibgp, y.rib_in[e].ibgp) << label;
-    }
-  }
-}
-
-/// One run over `view` in a fresh arena.
-bgp::PrefixSimResult run_view(const bgp::Engine& engine,
-                              std::shared_ptr<const bgp::PrefixView> view) {
-  bgp::SimMemory memory;
-  bgp::PrefixSimResult out;
-  engine.run_into(std::move(view), memory, nullptr, nullptr, out);
-  return out;
-}
-
-TEST(CompactedRunTest, MatchesFullRunOnFittedModel) {
-  // The full-vs-compacted oracle at engine level, over the initial and the
-  // fitted model of each identity-matrix topology: for every prefix, the
-  // relaxed-bound view (what the refinement sweep simulates) and the exact
-  // working-set view must reproduce the identity view for every dense
-  // router, and the view-priced cost must equal the relaxed planner cost.
-  // The identity view itself must be a fixed point under every engine
-  // option set (check_convergence replays propagate() per session).
-  struct Scenario {
-    double scale;
-    std::uint64_t seed;
-  };
-  for (const Scenario scenario :
-       {Scenario{0.05, 1}, Scenario{0.08, 6}, Scenario{0.1, 3}}) {
-    core::Pipeline pipeline = core::run_full_pipeline(
-        core::PipelineConfig::with(scenario.scale, scenario.seed));
-    ASSERT_TRUE(pipeline.refine_result.success);
-    const std::string topology = std::to_string(scenario.scale) + "/" +
-                                 std::to_string(scenario.seed);
-    const Model initial = Model::one_router_per_as(pipeline.graph);
-    const Model* const models[] = {&initial, &pipeline.model};
-    for (const Model* model : models) {
-      const std::string label =
-          (model == &initial ? "initial " : "fitted ") + topology;
-      const bgp::Engine engine(*model);
-      analysis::ReachabilityCache cache;
-      analysis::WorksetOptions relaxed_options;
-      relaxed_options.exact = false;
-      const std::vector<PrefixWorkset> exact =
-          analysis::compute_all_worksets(engine, {}, &cache, nullptr);
-      ASSERT_GE(exact.size(), 20u) << label;
-      for (const PrefixWorkset& ws : exact) {
-        const std::string where = label + " " + ws.prefix.str();
-        const bgp::PrefixSimResult full = engine.run(ws.prefix, ws.origin);
-        const PrefixWorkset relaxed = analysis::compute_working_set(
-            engine, ws.prefix, ws.origin, relaxed_options, &cache, nullptr);
-        const std::shared_ptr<const bgp::PrefixView> relaxed_view =
-            engine.build_view(ws.prefix, ws.origin, relaxed.members);
-        EXPECT_EQ(analysis::view_cost(*relaxed_view), relaxed.cost) << where;
-        expect_runs_identical(*model, full, run_view(engine, relaxed_view),
-                              where + " relaxed");
-        expect_runs_identical(
-            *model, full,
-            run_view(engine, engine.build_view(ws.prefix, ws.origin,
-                                               ws.members)),
-            where + " exact");
-      }
-    }
-
-    // Identity-view fixed points on the ground truth, whose relationship
-    // classes, IGP costs and multi-router ASes every option set reads.
-    const Model& truth = pipeline.ground_truth.model;
-    bgp::EngineOptions relationship;
-    relationship.use_relationship_policies = true;
-    bgp::EngineOptions relationship_igp = relationship;
-    relationship_igp.use_igp_cost = true;
-    bgp::EngineOptions mesh;
-    mesh.use_ibgp_mesh = true;
-    for (const bgp::EngineOptions& options :
-         {bgp::EngineOptions{}, relationship, relationship_igp, mesh}) {
-      const bgp::Engine engine(truth, options);
-      for (const Asn origin : truth.asns()) {
-        const bgp::PrefixSimResult sim =
-            engine.run(Prefix::for_asn(origin), origin);
-        const analysis::Diagnostics found =
-            analysis::check_convergence(engine, sim);
-        EXPECT_TRUE(found.empty())
-            << topology << " origin " << origin << ": "
-            << found.front().code << " " << found.front().message;
-      }
-    }
-  }
-}
-
-TEST(CompactedRunTest, NonIdentityViewChargesPhantomMessages) {
-  // The deny-all chain: the view holds {1, 2} only, yet message totals
-  // must match the full run, which still charges the blocked 2->3
-  // announcement at 2's activation (cap accounting stays
-  // observation-identical).
-  topo::AsGraph g;
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  Model model = Model::one_router_per_as(g);
-  const Prefix prefix = Prefix::for_asn(1);
-  model.set_export_filter(RouterId{2, 0}, RouterId{3, 0}, prefix,
-                          topo::ExportFilter::kDenyAll, nb::kInvalidRouterId);
-  const bgp::Engine engine(model);
-  const PrefixWorkset ws = analysis::compute_working_set(engine, prefix, 1);
-  ASSERT_EQ(ws.size, 2u);
-
-  const std::shared_ptr<const bgp::PrefixView> view =
-      engine.build_view(prefix, 1, ws.members);
-  EXPECT_FALSE(view->identity);
-  const bgp::PrefixSimResult full = engine.run(prefix, 1);
-  const bgp::PrefixSimResult compacted = run_view(engine, view);
-  EXPECT_GT(full.messages, 0u);
-  expect_runs_identical(model, full, compacted, "deny-all chain");
-  // Routers outside the view read as default-empty state.
-  EXPECT_EQ(compacted.state(model.dense(RouterId{4, 0})).best, -1);
-  EXPECT_TRUE(compacted.state(model.dense(RouterId{4, 0})).rib_in.empty());
-}
-
 TEST(WorksetTest, TruncationFallsBackToRelaxedWithA820) {
   core::Pipeline pipeline =
       core::make_pipeline(core::PipelineConfig::with(0.05, 3));
@@ -359,7 +209,7 @@ TEST(WorksetTest, TruncationFallsBackToRelaxedWithA820) {
   analysis::Diagnostics diags;
   const PrefixWorkset ws = analysis::compute_working_set(
       engine, Prefix::for_asn(model.asns().front()), model.asns().front(),
-      options, nullptr, &diags);
+      options, &diags);
   EXPECT_TRUE(ws.relaxed);
   EXPECT_TRUE(contains_code(diags, codes::kWorksetRelaxed));
   // The relaxed fallback still covers the origin and is non-empty.
@@ -370,34 +220,9 @@ TEST(WorksetTest, TruncationFallsBackToRelaxedWithA820) {
   no_exact.exact = false;
   analysis::Diagnostics all_diags;
   const std::vector<PrefixWorkset> worksets =
-      analysis::compute_all_worksets(engine, no_exact, nullptr, &all_diags);
+      analysis::compute_all_worksets(engine, no_exact, &all_diags);
   EXPECT_EQ(all_diags.size(), worksets.size());
   for (const PrefixWorkset& w : worksets) EXPECT_TRUE(w.relaxed);
-}
-
-TEST(ReachabilityCacheTest, GenerationKeyedHitsAndInvalidation) {
-  topo::AsGraph g;
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  Model model = Model::one_router_per_as(g);
-  const Prefix prefix = Prefix::for_asn(1);
-
-  analysis::ReachabilityCache cache;
-  const auto first = cache.relaxed(model, prefix, 1);
-  const auto second = cache.relaxed(model, prefix, 1);
-  EXPECT_EQ(first.get(), second.get()) << "same generation must hit";
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().invalidations, 0u);
-
-  // Any model mutation bumps the generation and flushes the cache.
-  model.set_ranking(RouterId{2, 0}, prefix, 1);
-  const auto third = cache.relaxed(model, prefix, 1);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  ASSERT_EQ(third->size(), model.num_routers());
-  EXPECT_EQ(*third,
-            analysis::relaxed_reachable(model, model.find_policy(prefix), 1));
 }
 
 PrefixWorkset synthetic_workset(Asn origin, std::uint64_t cost,
@@ -470,35 +295,6 @@ TEST(PartitionTest, DominantPrefixTripsImbalanceAdvisory) {
   std::size_t placed = 0;
   for (const auto& shard : plan.shards) placed += shard.prefixes.size();
   EXPECT_EQ(placed, worksets.size());
-}
-
-TEST(ReachabilityCacheTest, PlanThenRefineSharesTheCacheInProcess) {
-  // The satellite-6 regression: `rdtool plan` followed by `refine` in one
-  // process used to recompute every working set.  With the shared
-  // generation-keyed cache, refine's working-set sweep must hit the
-  // entries the plan already populated.
-  core::Pipeline pipeline =
-      core::make_pipeline(core::PipelineConfig::with(0.05, 3));
-  core::run_data_stages(pipeline);
-  Model model = Model::one_router_per_as(pipeline.graph);
-
-  analysis::ReachabilityCache cache;
-  {
-    const bgp::Engine engine(model);
-    analysis::WorksetOptions no_exact;
-    no_exact.exact = false;
-    analysis::compute_all_worksets(engine, no_exact, &cache, nullptr);
-  }
-  ASSERT_GT(cache.stats().misses, 0u);
-  ASSERT_EQ(cache.stats().hits, 0u);
-
-  core::RefineConfig config;
-  config.reachability_cache = &cache;
-  const core::RefineResult result =
-      core::refine_model(model, pipeline.split.training, config);
-  EXPECT_TRUE(result.success);
-  EXPECT_GT(cache.stats().hits, 0u)
-      << "refine recomputed working sets the plan already cached";
 }
 
 }  // namespace

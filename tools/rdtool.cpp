@@ -124,7 +124,6 @@
 #include "analysis/model_diff.hpp"
 #include "analysis/partition.hpp"
 #include "analysis/policy_audit.hpp"
-#include "analysis/reachability_cache.hpp"
 #include "analysis/validate_model.hpp"
 #include "analysis/workset.hpp"
 #include "bgp/explain.hpp"
@@ -268,13 +267,6 @@ int usage() {
 std::atomic<bool> g_interrupt{false};
 
 void handle_interrupt(int) { g_interrupt.store(true); }
-
-/// Process-wide reachability-bound cache shared by every command that
-/// computes working sets (`plan` and `refine`'s working-set sweep).  Generation-keyed per model, so commands running back to back
-/// in one process -- the selftest, library embedders calling the cmd_*
-/// flows -- reuse each other's session BFS results instead of recomputing
-/// them; a stale entry is just a miss.
-analysis::ReachabilityCache g_reach_cache;
 
 std::optional<data::BgpDataset> load_dataset(const std::string& path) {
   std::ifstream in(path);
@@ -520,7 +512,6 @@ int cmd_refine(const nb::Cli& cli) {
   config.prefix_iteration_budget = cli.get_u64("prefix-budget", 0);
   config.checkpoint_path = cli.get_string("checkpoint", "");
   config.checkpoint_every = cli.get_u64("checkpoint-every", 8);
-  config.reachability_cache = &g_reach_cache;
 
   // --resume: the checkpoint replaces the fresh one-router-per-AS start;
   // refine_model verifies the dataset hash and per-prefix state (R706).
@@ -634,11 +625,6 @@ int cmd_refine(const nb::Cli& cli) {
     w.key("prefixes_budget_exhausted")
         .value(static_cast<std::uint64_t>(result.prefixes_budget_exhausted));
     w.key("checkpoint_written").value(result.checkpoint_written);
-    w.key("cache").begin_object();
-    w.key("hits").value(result.cache_hits);
-    w.key("misses").value(result.cache_misses);
-    w.key("invalidations").value(result.cache_invalidations);
-    w.end_object();
     w.key("flight_dump_written").value(result.flight_dump_written);
     if (result.flight_dump_written)
       w.key("flight_dump").value(config.flight_dump_path);
@@ -1232,8 +1218,7 @@ int cmd_plan(const nb::Cli& cli) {
   bgp::Engine engine(*model, engine_options);
   analysis::Diagnostics diagnostics;
   const std::vector<analysis::PrefixWorkset> worksets =
-      analysis::compute_all_worksets(engine, workset_options, &g_reach_cache,
-                                     &diagnostics);
+      analysis::compute_all_worksets(engine, workset_options, &diagnostics);
   const analysis::ShardPlan plan = analysis::plan_shards(
       worksets, model->num_routers(), plan_options, &diagnostics);
 
