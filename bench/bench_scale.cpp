@@ -49,7 +49,7 @@ void BM_PrefixPropagation(benchmark::State& state) {
   for (auto _ : state) {
     nb::Asn origin = fixture.ases[index++ % fixture.ases.size()];
     auto sim = engine.run(nb::Prefix::for_asn(origin), origin);
-    benchmark::DoNotOptimize(sim.routers.data());
+    benchmark::DoNotOptimize(sim);
     messages += sim.messages;
   }
   state.counters["routers"] =
@@ -98,7 +98,7 @@ void BM_PaperScalePropagation(benchmark::State& state) {
   for (auto _ : state) {
     const nb::Asn origin = fixture->ases[index++ % fixture->ases.size()];
     const auto sim = engine.run(nb::Prefix::for_asn(origin), origin);
-    benchmark::DoNotOptimize(sim.routers.data());
+    benchmark::DoNotOptimize(sim);
     messages += sim.messages;
   }
   state.counters["ases"] = static_cast<double>(fixture->ases.size());

@@ -16,13 +16,13 @@ namespace {
 
 void dump_as(const Model& model, const bgp::PrefixSimResult& sim, Asn asn) {
   for (Model::Dense r : model.routers_of(asn)) {
-    const auto& st = sim.routers[r];
     std::printf("    router %s best=%d\n", model.router_id(r).str().c_str(),
-                st.best);
-    for (std::size_t i = 0; i < st.rib_in.size(); ++i) {
-      std::printf("      rib[%zu] %s (sender=%s)\n", i,
-                  st.rib_in[i].str().c_str(),
-                  model.router_id(st.rib_in[i].sender).str().c_str());
+                sim.best(r));
+    std::size_t i = 0;
+    for (const bgp::PrefixSimResult::Row row : sim.rows(r)) {
+      std::printf("      rib[%zu] %s (sender=%s)\n", i++,
+                  sim.route(row).str().c_str(),
+                  model.router_id(sim.sender(row)).str().c_str());
     }
   }
 }

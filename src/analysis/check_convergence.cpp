@@ -10,7 +10,6 @@ namespace {
 
 using bgp::PrefixSimResult;
 using bgp::Route;
-using bgp::RouterState;
 using nb::Asn;
 using topo::Model;
 
@@ -34,9 +33,9 @@ class Checker {
 
   Diagnostics run() {
     // The result holds one state per router of the model at run time.
-    if (result_.routers.size() != model_.num_routers()) {
+    if (result_.num_routers() != model_.num_routers()) {
       error(codes::kSimStale, "simulation",
-            "result covers " + std::to_string(result_.routers.size()) +
+            "result covers " + std::to_string(result_.num_routers()) +
                 " routers but the model now has " +
                 std::to_string(model_.num_routers()) +
                 " (model mutated after the run)");
@@ -53,8 +52,13 @@ class Checker {
     }
     ctx_ = engine_.context();  // shared per-epoch ids, no per-check rebuild
     ids_ = ctx_->ids;
-    for (Model::Dense r = 0; r < result_.routers.size(); ++r)
-      check_router(r);
+    // Every check below runs on Routes, not on the engine's rows.
+    ribs_.resize(result_.num_routers());
+    for (Model::Dense r = 0; r < ribs_.size(); ++r) {
+      for (const PrefixSimResult::Row row : result_.rows(r))
+        ribs_[r].push_back(result_.route(row));
+    }
+    for (Model::Dense r = 0; r < ribs_.size(); ++r) check_router(r);
     if (options_.check_fixed_point) check_fixed_point();
     return std::move(out_);
   }
@@ -65,43 +69,49 @@ class Checker {
                               std::move(message)});
   }
 
+  /// Router r's route at index `rel` of its RIB-In, nullptr for -1.
+  const Route* route_at(Model::Dense r, int rel) const {
+    return rel < 0 ? nullptr : &ribs_[r][static_cast<std::size_t>(rel)];
+  }
+
   void check_router(Model::Dense r) {
-    const RouterState& state = result_.routers[r];
+    const std::vector<Route>& rib = ribs_[r];
+    const int best = result_.best(r);
+    const int best_external = result_.best_external(r);
     const Asn own_as = model_.router_id(r).asn();
-    const int size = static_cast<int>(state.rib_in.size());
+    const int size = static_cast<int>(rib.size());
     const std::string loc = router_loc(model_, r);
 
-    if (state.best < -1 || state.best >= size) {
+    if (best < -1 || best >= size) {
       error(codes::kBestIndexInvalid, loc,
-            "best index " + std::to_string(state.best) + " outside RIB-In of " +
+            "best index " + std::to_string(best) + " outside RIB-In of " +
                 std::to_string(size) + " entries");
       return;
     }
-    if (state.best_external < -1 || state.best_external >= size) {
+    if (best_external < -1 || best_external >= size) {
       error(codes::kBestIndexInvalid, loc,
-            "best_external index " + std::to_string(state.best_external) +
+            "best_external index " + std::to_string(best_external) +
                 " outside RIB-In of " + std::to_string(size) + " entries");
       return;
     }
-    if (!engine_.options().use_ibgp_mesh &&
-        state.best_external != state.best) {
+    if (!engine_.options().use_ibgp_mesh && best_external != best) {
       error(codes::kBestExternalInvalid, loc,
             "best_external diverges from best outside ibgp-mesh mode");
     }
-    if (const Route* external = state.external_route();
+    if (const Route* external = route_at(r, best_external);
         external != nullptr && external->ibgp) {
       error(codes::kBestExternalInvalid, loc,
             "best_external selects an iBGP-learned route");
     }
 
-    if (bgp::select_best(state.rib_in, ids_) != state.best) {
+    if (bgp::select_best(rib, ids_) != best) {
       error(codes::kBestNotWinning, loc,
             "installed best does not win the decision process against the "
             "current candidates");
     }
 
     std::set<std::uint32_t> senders;
-    for (const Route& entry : state.rib_in) {
+    for (const Route& entry : rib) {
       if (!senders.insert(entry.sender).second) {
         error(codes::kRibInDuplicateSender, loc,
               "two RIB-In entries from announcing router index " +
@@ -112,8 +122,9 @@ class Checker {
 
     const bool is_origin = own_as == result_.origin && model_.has_as(own_as);
     if (is_origin) {
-      const Route* best = state.best_route();
-      if (best == nullptr || !best->originated() || best->sender != r) {
+      const Route* selected = route_at(r, best);
+      if (selected == nullptr || !selected->originated() ||
+          selected->sender != r) {
         error(codes::kOriginNotOriginating, loc,
               "origin-AS router does not select its self-originated route");
       }
@@ -162,10 +173,10 @@ class Checker {
 
   void check_fixed_point() {
     const topo::PrefixPolicy* policy = model_.find_policy(result_.prefix);
-    for (Model::Dense r = 0; r < result_.routers.size(); ++r) {
-      const Route* best = result_.routers[r].best_route();
+    for (Model::Dense r = 0; r < ribs_.size(); ++r) {
+      const Route* best = route_at(r, result_.best(r));
       for (Model::Dense peer : model_.peers(r)) {
-        if (peer >= result_.routers.size()) continue;  // linter territory
+        if (peer >= ribs_.size()) continue;  // linter territory
         std::optional<Route> expected;
         if (best != nullptr)
           expected = engine_.propagate(*ctx_, policy, r, peer, *best);
@@ -176,10 +187,10 @@ class Checker {
   }
 
   void check_mesh_adjacencies(Model::Dense r) {
-    const Route* external = result_.routers[r].external_route();
+    const Route* external = route_at(r, result_.best_external(r));
     for (Model::Dense mate :
          model_.routers_of(model_.router_id(r).asn())) {
-      if (mate == r || mate >= result_.routers.size()) continue;
+      if (mate == r || mate >= ribs_.size()) continue;
       std::optional<Route> expected;
       if (external != nullptr) {
         Route shared = *external;
@@ -198,9 +209,8 @@ class Checker {
   /// equal what one more propagation step would deliver right now.
   void compare_adjacency(Model::Dense from, Model::Dense to, bool ibgp,
                          const std::optional<Route>& expected) {
-    const RouterState& state = result_.routers[to];
     const Route* actual = nullptr;
-    for (const Route& entry : state.rib_in) {
+    for (const Route& entry : ribs_[to]) {
       if (entry.sender == from && entry.ibgp == ibgp && from != to) {
         actual = &entry;
         break;
@@ -229,6 +239,7 @@ class Checker {
   const ConvergenceOptions& options_;
   std::shared_ptr<const bgp::SimContext> ctx_;
   std::span<const std::uint32_t> ids_;
+  std::vector<std::vector<Route>> ribs_;  // router -> RIB-In, as Routes
   Diagnostics out_;
 };
 

@@ -18,9 +18,10 @@
 //     reproduces exactly the receiver's stored Adj-RIB-In entry, i.e. no
 //     message could still change any RIB.
 //
-// The checks run on the engine's public surface only, so they remain valid
-// as the engine gains optimizations (this is the regression tripwire for
-// the parallel/incremental work the roadmap plans).
+// The checks materialize the result's rows as Routes and replay them
+// through the reference bgp::select_best and Engine::propagate, never the
+// engine's own row selector, so they remain valid as the engine gains
+// optimizations.
 #pragma once
 
 #include "analysis/diagnostics.hpp"

@@ -45,7 +45,7 @@ struct Comparison {
 /// The decision-relevant attributes of a stored route.  Every step of the
 /// decision process reads scalars only -- path CONTENT never participates,
 /// just its length -- so this view fully determines compare_routes and lets
-/// the struct-of-arrays RIB (bgp::SimMemory) compare entries without
+/// the struct-of-arrays RIB (bgp::PrefixSimResult) compare rows without
 /// materializing Route objects.
 struct RouteView {
   std::uint32_t sender = 0;

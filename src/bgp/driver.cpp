@@ -2,6 +2,8 @@
 
 #include <mutex>
 
+#include "bgp/sim_memory.hpp"
+
 namespace bgp {
 
 std::vector<SimJob> jobs_for_all_ases(const Model& model) {
@@ -13,16 +15,19 @@ std::vector<SimJob> jobs_for_all_ases(const Model& model) {
 
 void run_jobs(
     const Engine& engine, const std::vector<SimJob>& jobs, ThreadPool& pool,
-    const std::function<void(std::size_t, PrefixSimResult&&)>& consume) {
+    const std::function<void(std::size_t, const PrefixSimResult&)>& consume) {
   // Build the per-epoch simulation context once on the calling thread so
   // the workers start from a shared immutable snapshot instead of racing to
   // construct it behind the engine's context lock.
   engine.context();
   std::mutex consume_mutex;
-  pool.parallel_for(jobs.size(), [&](std::size_t i) {
-    PrefixSimResult result = engine.run(jobs[i].prefix, jobs[i].origin);
+  std::vector<SimMemory> memory(pool.shard_count());
+  std::vector<PrefixSimResult> results(pool.shard_count());
+  pool.parallel_for_worker(jobs.size(), [&](unsigned worker, std::size_t i) {
+    engine.run_into(engine.identity_view(jobs[i].prefix, jobs[i].origin),
+                    memory[worker], nullptr, nullptr, results[worker]);
     std::lock_guard lock(consume_mutex);
-    consume(i, std::move(result));
+    consume(i, results[worker]);
   });
 }
 

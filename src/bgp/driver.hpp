@@ -1,7 +1,7 @@
 // Multi-prefix simulation driver: runs one Engine simulation per prefix
 // (optionally across a thread pool) and hands each result to a consumer.
-// Results can be large (one RouterState per router), so they are consumed
-// one at a time instead of being accumulated.
+// Each pool slot reuses one SimMemory and one PrefixSimResult for all its
+// jobs, so each result is consumed by reference before it is overwritten.
 #pragma once
 
 #include <functional>
@@ -23,9 +23,10 @@ std::vector<SimJob> jobs_for_all_ases(const Model& model);
 
 /// Runs every job; `consume(job_index, result)` is invoked exactly once per
 /// job, serialized under an internal mutex (thread-safe consumers are not
-/// required).  Order of invocation is unspecified when threads > 1.
-void run_jobs(const Engine& engine, const std::vector<SimJob>& jobs,
-              ThreadPool& pool,
-              const std::function<void(std::size_t, PrefixSimResult&&)>& consume);
+/// required).  Order of invocation is unspecified when threads > 1.  The
+/// result is only valid during the call.
+void run_jobs(
+    const Engine& engine, const std::vector<SimJob>& jobs, ThreadPool& pool,
+    const std::function<void(std::size_t, const PrefixSimResult&)>& consume);
 
 }  // namespace bgp

@@ -191,34 +191,30 @@ struct Selection {
   std::int64_t external_sender = -1;
 };
 
-Selection snapshot(const SimMemory& mem, std::uint32_t slot) {
+Selection snapshot(const PrefixSimResult& rib, std::uint32_t slot) {
   Selection s;
-  const std::uint32_t base = mem.begin_of(slot);
-  if (const int b = mem.best(slot); b >= 0) {
-    s.best_sender = mem.sender_at(base + static_cast<std::uint32_t>(b));
-  }
-  if (const int e = mem.best_external(slot); e >= 0) {
-    s.external_sender = mem.sender_at(base + static_cast<std::uint32_t>(e));
-  }
+  if (const auto b = rib.best_row(slot); b != PrefixSimResult::kNoRow)
+    s.best_sender = rib.sender(b);
+  if (const auto e = rib.best_external_row(slot); e != PrefixSimResult::kNoRow)
+    s.external_sender = rib.sender(e);
   return s;
 }
 
 /// select_best over a SoA RIB region: same ascending scan, same strictly-
 /// less replacement rule, via the same compare_views the Route overload
-/// delegates to -- identical winner for identical contents.
-int select_best_region(const SimMemory& mem, std::uint32_t base,
-                       std::uint32_t live,
+/// delegates to -- identical winner for identical contents.  With
+/// `external_only`, iBGP rows are skipped (the best external route).
+int select_best_region(const PrefixSimResult& rib, std::uint32_t slot,
+                       bool external_only,
                        std::span<const std::uint32_t> ids) {
   int best = -1;
-  for (std::uint32_t i = 0; i < live; ++i) {
-    if (best < 0) {
-      best = static_cast<int>(i);
-      continue;
-    }
-    const Comparison cmp =
-        compare_views(mem.view_at(base + i),
-                      mem.view_at(base + static_cast<std::uint32_t>(best)), ids);
-    if (cmp.order < 0) best = static_cast<int>(i);
+  const PrefixSimResult::Row base = rib.row(slot, 0);
+  for (const PrefixSimResult::Row row : rib.rows(slot)) {
+    const RouteView candidate = rib.view(row);
+    if (external_only && candidate.ibgp) continue;
+    if (best < 0 ||
+        compare_views(candidate, rib.view(rib.row(slot, best)), ids).order < 0)
+      best = static_cast<int>(row - base);
   }
   return best;
 }
@@ -229,36 +225,21 @@ int select_best_region(const SimMemory& mem, std::uint32_t base,
 /// `touched_path_changed` whether that entry's AS-path changed: a selection
 /// that stays on an untouched sender is unchanged by construction (one
 /// entry per sender, and only the touched one was written).
-bool reselect(SimMemory& mem, std::uint32_t slot, bool ibgp_mesh,
+bool reselect(PrefixSimResult& rib, std::uint32_t slot, bool ibgp_mesh,
               std::span<const std::uint32_t> ids, const Selection& old,
               Model::Dense touched, bool touched_path_changed,
               SimCounters& tally) {
-  const std::uint32_t base = mem.begin_of(slot);
-  const std::uint32_t live = mem.live(slot);
-  const int best = select_best_region(mem, base, live, ids);
-  mem.set_best(slot, best);
-  int external = -1;
-  if (ibgp_mesh) {
-    for (std::uint32_t i = 0; i < live; ++i) {
-      if (mem.ibgp_at(base + i)) continue;
-      if (external < 0 ||
-          compare_views(mem.view_at(base + i),
-                        mem.view_at(base + static_cast<std::uint32_t>(external)),
-                        ids)
-                  .order < 0) {
-        external = static_cast<int>(i);
-      }
-    }
-  } else {
-    external = best;
-  }
-  mem.set_best_external(slot, external);
+  const int best = select_best_region(rib, slot, false, ids);
+  rib.set_best(slot, best);
+  const int external =
+      ibgp_mesh ? select_best_region(rib, slot, true, ids) : best;
+  rib.set_best_external(slot, external);
 
   const auto differs = [&](std::int64_t old_sender, int now_rel) {
     const std::int64_t now_sender =
         now_rel < 0 ? -1
                     : static_cast<std::int64_t>(
-                          mem.sender_at(base + static_cast<std::uint32_t>(now_rel)));
+                          rib.sender(rib.row(slot, now_rel)));
     if (now_sender != old_sender) return true;
     return now_sender == static_cast<std::int64_t>(touched) &&
            touched_path_changed;
@@ -267,34 +248,6 @@ bool reselect(SimMemory& mem, std::uint32_t slot, bool ibgp_mesh,
       differs(old.best_sender, best) || differs(old.external_sender, external);
   tally.selection_changes += changed ? 1 : 0;
   return changed;
-}
-
-/// Materializes the arena's final state into the public RouterState form.
-/// Reuses `routers`' existing rib_in and path capacities, so a sweep that
-/// recycles its PrefixSimResult objects allocates nothing at steady state.
-void export_state(const SimMemory& mem, std::size_t slots,
-                  std::vector<RouterState>& routers) {
-  routers.resize(slots);
-  for (std::uint32_t s = 0; s < slots; ++s) {
-    RouterState& state = routers[s];
-    const std::uint32_t base = mem.begin_of(s);
-    const std::uint32_t live = mem.live(s);
-    state.rib_in.resize(live);
-    for (std::uint32_t i = 0; i < live; ++i) {
-      const std::uint32_t r = base + i;
-      Route& route = state.rib_in[i];
-      const RouteView v = mem.view_at(r);
-      route.sender = v.sender;
-      route.local_pref = v.local_pref;
-      route.med = v.med;
-      route.igp_cost = v.igp_cost;
-      route.ibgp = v.ibgp;
-      const std::span<const Asn> path = mem.path_at(r);
-      route.path.assign(path.begin(), path.end());
-    }
-    state.best = mem.best(s);
-    state.best_external = mem.best_external(s);
-  }
 }
 
 }  // namespace
@@ -313,6 +266,8 @@ void Engine::run_into(const PrefixView& v, SimMemory& mem,
                       PrefixSimResult& res) const {
   RD_CHECK(v.epoch == model_->generation(),
            "Engine::run_into: view is stale (model mutated)");
+  using Attrs = PrefixSimResult::Attrs;
+  using Row = PrefixSimResult::Row;
   // Instrumentation accumulates in locals unconditionally (register
   // increments, negligible next to message processing) and is stored
   // through `counters` only at the end, keeping the uninstrumented path
@@ -336,13 +291,16 @@ void Engine::run_into(const PrefixView& v, SimMemory& mem,
 
   // Region capacity per router: sessions are symmetric (the linter enforces
   // M101), so a router's in-degree equals its out-degree plus its AS-mates;
-  // the +1 for self-origination is SimMemory's.
+  // the +1 for self-origination is the result table's.
+  res.begin(n);
   mem.begin(n);
   for (std::uint32_t r = 0; r < n; ++r) {
-    mem.set_fan_in(r, v.edge_offset[r + 1] - v.edge_offset[r] +
-                          v.mate_offset[r + 1] - v.mate_offset[r]);
+    const std::uint32_t fan_in = v.edge_offset[r + 1] - v.edge_offset[r] +
+                                 v.mate_offset[r + 1] - v.mate_offset[r];
+    res.set_fan_in(r, fan_in);
+    mem.set_fan_in(r, fan_in);
   }
-  mem.finish_setup();
+  res.finish_setup();
 
   // Origination: each quasi-router of the origin AS injects a route with an
   // empty path (sender = self, MED 0 so an origin router never prefers a
@@ -350,9 +308,9 @@ void Engine::run_into(const PrefixView& v, SimMemory& mem,
   // length).
   for (const Model::Dense r : model_->routers_of(v.origin)) {
     ++tally.rib_inserts;
-    mem.push(r, SimMemory::Attrs{r, kDefaultLocalPref, 0, 0, false}, {});
-    mem.set_best(r, 0);
-    mem.set_best_external(r, 0);
+    mem.push(res, r, Attrs{r, kDefaultLocalPref, 0, 0, false});
+    res.set_best(r, 0);
+    res.set_best_external(r, 0);
     mem.enqueue(r);
   }
 
@@ -374,55 +332,50 @@ void Engine::run_into(const PrefixView& v, SimMemory& mem,
     if (activated != nullptr) (*activated)[r] = 1;
     const nb::Asn from_as = asn_of[r];
     // r's own region is never written during r's activation (every message
-    // targets a mate or peer), so these relative indices stay valid; path
-    // SPANS are re-derived at each use because pushes can move the arena.
-    const std::uint32_t r_base = mem.begin_of(r);
-    const int r_best = mem.best(r);
+    // targets a mate or peer), so its best row stays valid; path SPANS are
+    // re-derived at each use because path writes can move the hop arena.
+    const Row r_best = res.best_row(r);
 
     // iBGP mesh: push this router's best external route to its AS-mates.
     if (ibgp_mesh) {
-      const int r_external = mem.best_external(r);
+      const Row external = res.best_external_row(r);
       for (std::uint32_t e = v.mate_offset[r]; e < v.mate_offset[r + 1]; ++e) {
         const std::uint32_t mate = v.mates[e].to;
         ++messages;
-        const int slot = mem.find(mate, r);
-        if (r_external < 0) {
+        const int slot = mem.find(res, mate, r);
+        if (external == PrefixSimResult::kNoRow) {
           if (slot < 0) continue;
-          const Selection old = snapshot(mem, mate);
+          const Selection old = snapshot(res, mate);
           ++tally.withdrawals;
-          mem.erase(mate, slot);
-          if (reselect(mem, mate, ibgp_mesh, ids, old, r, false, tally))
+          mem.erase(res, mate, slot);
+          if (reselect(res, mate, ibgp_mesh, ids, old, r, false, tally))
             mem.enqueue(mate);
           continue;
         }
-        const std::uint32_t external =
-            r_base + static_cast<std::uint32_t>(r_external);
-        const RouteView ext = mem.view_at(external);
+        const RouteView ext = res.view(external);
         const std::uint32_t igp = v.mates[e].igp_cost;
         if (slot >= 0) {
-          const std::uint32_t row =
-              mem.row(mate, static_cast<std::uint32_t>(slot));
-          const RouteView existing = mem.view_at(row);
-          const bool same_path = mem.paths_equal(row, external);
+          const Row row = res.row(mate, slot);
+          const RouteView existing = res.view(row);
+          const bool same_path = res.path_equals(row, res.path(external));
           if (same_path && existing.local_pref == ext.local_pref &&
               existing.med == ext.med && existing.igp_cost == igp &&
               existing.ibgp) {
             continue;
           }
-          const Selection old = snapshot(mem, mate);
+          const Selection old = snapshot(res, mate);
           ++tally.rib_replacements;
-          mem.set_attrs(row,
-                        SimMemory::Attrs{r, ext.local_pref, ext.med, igp, true});
-          if (!same_path) mem.assign_path_from(row, external);
-          if (reselect(mem, mate, ibgp_mesh, ids, old, r, !same_path, tally))
+          res.set_attrs(row, Attrs{r, ext.local_pref, ext.med, igp, true});
+          if (!same_path) res.assign_path_from(row, external);
+          if (reselect(res, mate, ibgp_mesh, ids, old, r, !same_path, tally))
             mem.enqueue(mate);
         } else {
-          const Selection old = snapshot(mem, mate);
+          const Selection old = snapshot(res, mate);
           ++tally.rib_inserts;
-          mem.push_from(mate,
-                        SimMemory::Attrs{r, ext.local_pref, ext.med, igp, true},
-                        external);
-          if (reselect(mem, mate, ibgp_mesh, ids, old, r, false, tally))
+          res.assign_path_from(
+              mem.push(res, mate, Attrs{r, ext.local_pref, ext.med, igp, true}),
+              external);
+          if (reselect(res, mate, ibgp_mesh, ids, old, r, false, tally))
             mem.enqueue(mate);
         }
       }
@@ -433,9 +386,8 @@ void Engine::run_into(const PrefixView& v, SimMemory& mem,
     // Unknown classes are permissive (the paper's agnostic stance: absent
     // information must not disconnect).
     bool customer_route = true;
-    if (valley_free && r_best >= 0) {
-      const std::span<const Asn> best_path =
-          mem.path_at(r_base + static_cast<std::uint32_t>(r_best));
+    if (valley_free && r_best != PrefixSimResult::kNoRow) {
+      const std::span<const Asn> best_path = res.path(r_best);
       if (!best_path.empty()) {
         const NeighborClass learned =
             model_->neighbor_class(from_as, best_path.front());
@@ -453,9 +405,9 @@ void Engine::run_into(const PrefixView& v, SimMemory& mem,
       // receiver-side AS-loop detection, filter threshold.  The best path
       // span is re-derived per edge -- pushes can move the hop arena.
       bool has_incoming = false;
-      if (r_best >= 0 && (customer_route || !edge.customer_routes_only)) {
-        const std::span<const Asn> best_path =
-            mem.path_at(r_base + static_cast<std::uint32_t>(r_best));
+      if (r_best != PrefixSimResult::kNoRow &&
+          (customer_route || !edge.customer_routes_only)) {
+        const std::span<const Asn> best_path = res.path(r_best);
         const nb::Asn to_as = asn_of[edge.to];
         if (to_as != from_as && !path_contains(best_path, to_as) &&
             best_path.size() + 1 >= edge.deny_below_len) {
@@ -466,48 +418,46 @@ void Engine::run_into(const PrefixView& v, SimMemory& mem,
         }
       }
 
-      const int slot = mem.find(edge.to, r);
+      const int slot = mem.find(res, edge.to, r);
 
       if (!has_incoming) {
         if (slot < 0) continue;  // nothing to withdraw
-        const Selection old = snapshot(mem, edge.to);
+        const Selection old = snapshot(res, edge.to);
         ++tally.withdrawals;
-        mem.erase(edge.to, slot);
-        if (reselect(mem, edge.to, ibgp_mesh, ids, old, r, false, tally))
+        mem.erase(res, edge.to, slot);
+        if (reselect(res, edge.to, ibgp_mesh, ids, old, r, false, tally))
           mem.enqueue(edge.to);
         continue;
       }
-      const SimMemory::Attrs attrs{
+      const Attrs attrs{
           r, edge.local_pref,
           edge.preferred ? topo::kPreferredMed : topo::kDefaultMed,
           igp_cost ? v.edge_igp[e] : 0, false};
       if (slot >= 0) {
-        const std::uint32_t row =
-            mem.row(edge.to, static_cast<std::uint32_t>(slot));
-        const RouteView existing = mem.view_at(row);
-        const bool same_path = mem.path_equals(row, path);
+        const Row row = res.row(edge.to, slot);
+        const RouteView existing = res.view(row);
+        const bool same_path = res.path_equals(row, path);
         if (same_path && existing.local_pref == attrs.local_pref &&
             existing.med == attrs.med && existing.igp_cost == attrs.igp_cost) {
           continue;  // unchanged advertisement
         }
-        const Selection old = snapshot(mem, edge.to);
+        const Selection old = snapshot(res, edge.to);
         ++tally.rib_replacements;
-        mem.set_attrs(row, attrs);
-        if (!same_path) mem.set_path(row, path);
-        if (reselect(mem, edge.to, ibgp_mesh, ids, old, r, !same_path, tally))
+        res.set_attrs(row, attrs);
+        if (!same_path) res.set_path(row, path);
+        if (reselect(res, edge.to, ibgp_mesh, ids, old, r, !same_path, tally))
           mem.enqueue(edge.to);
       } else {
-        const Selection old = snapshot(mem, edge.to);
+        const Selection old = snapshot(res, edge.to);
         ++tally.rib_inserts;
-        mem.push(edge.to, attrs, path);
-        if (reselect(mem, edge.to, ibgp_mesh, ids, old, r, false, tally))
+        res.set_path(mem.push(res, edge.to, attrs), path);
+        if (reselect(res, edge.to, ibgp_mesh, ids, old, r, false, tally))
           mem.enqueue(edge.to);
       }
     }
   }
   res.messages = messages;
   res.activations = tally.activations;
-  export_state(mem, n, res.routers);
   if (counters != nullptr) {
     tally.messages = messages;
     *counters = tally;

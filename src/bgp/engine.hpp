@@ -15,8 +15,9 @@
 // AS-loop detection, local-pref (relationship class or per-prefix override)
 // and the per-prefix MED ranking.  Everything that depends only on the
 // session is resolved once per prefix into a PrefixView, which the one
-// simulation loop (run_into) walks.  Determinism: peers are visited in
-// router-id order and the queue is FIFO, so results are reproducible.
+// simulation loop (run_into) walks, writing RIB rows straight into the
+// caller's PrefixSimResult (sim_result.hpp).  Determinism: peers are
+// visited in router-id order and the queue is FIFO.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,7 @@
 
 #include "bgp/decision.hpp"
 #include "bgp/route.hpp"
+#include "bgp/sim_result.hpp"
 #include "netbase/ids.hpp"
 #include "netbase/ip.hpp"
 #include "topology/model.hpp"
@@ -62,27 +64,6 @@ struct EngineOptions {
   /// the run non-converged (divergence guard; see paper Section 4.6 on why
   /// local-pref games can diverge -- our policies cannot, but the guard stays).
   std::uint64_t message_cap_factor = 512;
-};
-
-/// Per-router outcome of a prefix simulation.
-struct RouterState {
-  /// Adj-RIB-In after import processing; at most one entry per announcing
-  /// router.  Includes the self-originated route at origin routers and,
-  /// in ibgp-mesh mode, one iBGP entry per AS-mate.
-  std::vector<Route> rib_in;
-  /// Index of the best route in rib_in, -1 if none.
-  int best = -1;
-  /// Index of the best non-iBGP route (== best unless ibgp-mesh mode).
-  int best_external = -1;
-
-  const Route* best_route() const {
-    return best < 0 ? nullptr : &rib_in[static_cast<std::size_t>(best)];
-  }
-  const Route* external_route() const {
-    return best_external < 0
-               ? nullptr
-               : &rib_in[static_cast<std::size_t>(best_external)];
-  }
 };
 
 /// Per-prefix simulation view (Engine::identity_view): every router of the
@@ -135,24 +116,6 @@ struct PrefixView {
   std::size_t size() const { return edge_offset.size() - 1; }
 };
 
-struct PrefixSimResult {
-  Prefix prefix;
-  nb::Asn origin = nb::kInvalidAsn;
-  /// Per-router outcomes, indexed by dense router index (the model's
-  /// router count at run time).
-  std::vector<RouterState> routers;
-  bool converged = true;
-  std::uint64_t messages = 0;
-  /// Router wake-ups processed (always filled, with or without SimCounters):
-  /// together with `messages` and `message_cap` this makes a divergence-
-  /// guard trip a structured outcome callers can report, not a silent
-  /// partial RIB (core/refine emits R701, check_convergence C401).
-  std::uint64_t activations = 0;
-  /// The divergence-guard threshold this run used
-  /// (EngineOptions::message_cap_factor x max(#sessions, 1)).
-  std::uint64_t message_cap = 0;
-};
-
 /// Optional hot-loop instrumentation for the obs layer, filled by run()
 /// when a non-null pointer is passed.  Pure observation: the counts are
 /// accumulated in locals either way (a handful of register increments per
@@ -178,7 +141,7 @@ struct SimCounters {
 /// Maps dense index -> router-id value for tie-breaking and reporting.
 std::vector<std::uint32_t> dense_ids(const Model& model);
 
-/// Reusable struct-of-arrays run storage (sim_memory.hpp).
+/// Reusable per-run scratch: dirty ring and sender index (sim_memory.hpp).
 class SimMemory;
 
 /// Model-derived state every run() against the same model version shares:
@@ -218,18 +181,19 @@ class Engine {
   explicit Engine(const Model& model, EngineOptions options = {});
 
   /// Simulates propagation of `prefix` originated by all routers of
-  /// `origin` over the identity view, in a temporary arena -- the
-  /// allocating convenience around run_into.  Re-reads the model on every
+  /// `origin` over the identity view, into fresh storage -- the
+  /// allocating one-shot convenience around run_into (tests, `rdtool
+  /// explain`, bench_scale).  Re-reads the model on every
   /// call, so model mutations between calls (refinement) are picked up.
   PrefixSimResult run(const Prefix& prefix, nb::Asn origin,
                       SimCounters* counters = nullptr,
                       std::vector<char>* activated = nullptr) const;
 
   /// The simulation loop.  Propagates `view.prefix` from `view.origin`
-  /// over every router; `memory` supplies every per-run buffer (and keeps
-  /// them for the next call -- a sweep reuses one instance per worker),
-  /// `out` is overwritten with the result and its rib_in / path capacities
-  /// are likewise recycled.  The view must come from identity_view against
+  /// over every router, writing the RIB rows straight into `out`, whose
+  /// previous contents are overwritten but whose buffers are recycled;
+  /// `memory` supplies the per-run scratch and keeps it for the next call
+  /// (a sweep reuses one of each per worker).  The view must come from identity_view against
   /// the model's CURRENT generation and need only outlive the call.
   /// `counters`, when non-null, receives hot-loop instrumentation (see
   /// SimCounters).  `activated`, when non-null, is resized to the router
@@ -237,7 +201,7 @@ class Engine {
   /// -- the dynamic ground truth the static working set
   /// (analysis/workset.hpp) must over-approximate.  Both are pure
   /// observation: the result is bit-for-bit the same with or without them,
-  /// and for any SimMemory history.
+  /// and for any SimMemory or `out` history.
   void run_into(const PrefixView& view, SimMemory& memory,
                 SimCounters* counters, std::vector<char>* activated,
                 PrefixSimResult& out) const;

@@ -9,18 +9,18 @@ RouteExplanation explain_selection(const Model& model,
                                    Model::Dense router) {
   RouteExplanation explanation;
   explanation.router = model.router_id(router);
-  const RouterState& state = sim.routers[router];
-  const Route* best = state.best_route();
-  if (best == nullptr) return explanation;
+  const PrefixSimResult::Row best = sim.best_row(router);
+  if (best == PrefixSimResult::kNoRow) return explanation;
 
   const std::vector<std::uint32_t> ids = dense_ids(model);
-  for (const Route& route : state.rib_in) {
+  for (const PrefixSimResult::Row row : sim.rows(router)) {
     RouteExplanation::Candidate candidate;
-    candidate.route = route;
-    if (&route == best) {
+    candidate.route = sim.route(row);
+    if (row == best) {
       candidate.is_best = true;
     } else {
-      candidate.lost_at = compare_routes(route, *best, ids).step;
+      candidate.lost_at =
+          compare_views(sim.view(row), sim.view(best), ids).step;
     }
     explanation.candidates.push_back(std::move(candidate));
   }

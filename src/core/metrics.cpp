@@ -31,8 +31,9 @@ bool route_path_equals(std::span<const nb::Asn> route_path,
 bool has_rib_out(const Model& model, const bgp::PrefixSimResult& sim,
                  nb::Asn asn, std::span<const nb::Asn> route_path) {
   for (Model::Dense r : model.routers_of(asn)) {
-    const bgp::Route* best = sim.routers[r].best_route();
-    if (best != nullptr && route_path_equals(best->path, route_path))
+    const bgp::PrefixSimResult::Row best = sim.best_row(r);
+    if (best != bgp::PrefixSimResult::kNoRow &&
+        route_path_equals(sim.path(best), route_path))
       return true;
   }
   return false;
@@ -50,9 +51,9 @@ PathMatch classify_path(const Model& model, const bgp::PrefixSimResult& sim,
   // A trivial observation "at the origin itself" matches iff the AS exists
   // and originates (its routers hold the self route).
   for (Model::Dense r : model.routers_of(observer)) {
-    const bgp::RouterState& state = sim.routers[r];
-    const bgp::Route* best = state.best_route();
-    if (best != nullptr && route_path_equals(best->path, route_path)) {
+    const bgp::PrefixSimResult::Row best = sim.best_row(r);
+    if (best != bgp::PrefixSimResult::kNoRow &&
+        route_path_equals(sim.path(best), route_path)) {
       match.kind = MatchKind::kRibOut;
       match.router = r;
       return match;
@@ -63,13 +64,14 @@ PathMatch classify_path(const Model& model, const bgp::PrefixSimResult& sim,
   bool found_rib_in = false;
   bgp::DecisionStep closest = bgp::DecisionStep::kLocalPref;
   for (Model::Dense r : model.routers_of(observer)) {
-    const bgp::RouterState& state = sim.routers[r];
-    const bgp::Route* best = state.best_route();
-    for (const bgp::Route& entry : state.rib_in) {
-      if (!route_path_equals(entry.path, route_path)) continue;
+    const bgp::PrefixSimResult::Row best = sim.best_row(r);
+    for (const bgp::PrefixSimResult::Row row : sim.rows(r)) {
+      if (!route_path_equals(sim.path(row), route_path)) continue;
       found_rib_in = true;
-      if (best == nullptr) continue;  // cannot happen: entry implies a best
-      bgp::Comparison cmp = bgp::compare_routes(entry, *best, ids);
+      // Cannot happen: an entry implies a best.
+      if (best == bgp::PrefixSimResult::kNoRow) continue;
+      bgp::Comparison cmp =
+          bgp::compare_views(sim.view(row), sim.view(best), ids);
       // entry != best here, so cmp.order > 0; cmp.step is the decisive step.
       if (static_cast<int>(cmp.step) >= static_cast<int>(closest)) {
         closest = cmp.step;

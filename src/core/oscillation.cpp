@@ -42,14 +42,14 @@ std::uint64_t fingerprint_policy(const topo::Model& model, nb::Prefix prefix) {
 std::uint64_t fingerprint_selections(const bgp::PrefixSimResult& sim,
                                      std::span<const std::uint32_t> ids) {
   // Seeded by the router count and keyed by dense-index ids.
-  std::uint64_t hash = mix_u64(sim.routers.size());
-  for (std::size_t r = 0; r < sim.routers.size(); ++r) {
-    const bgp::Route* best = sim.routers[r].best_route();
-    if (best == nullptr) continue;
+  std::uint64_t hash = mix_u64(sim.num_routers());
+  for (std::uint32_t r = 0; r < sim.num_routers(); ++r) {
+    const bgp::PrefixSimResult::Row best = sim.best_row(r);
+    if (best == bgp::PrefixSimResult::kNoRow) continue;
     if (r >= ids.size()) continue;
     // FNV-1a over the path; hop order matters, so this part is sequential.
     std::uint64_t path_hash = 1469598103934665603ull;
-    for (const nb::Asn hop : best->path)
+    for (const nb::Asn hop : sim.path(best))
       path_hash = (path_hash ^ hop) * 1099511628211ull;
     hash ^= term(5, ids[r], path_hash);
   }

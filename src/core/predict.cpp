@@ -37,7 +37,7 @@ EvalResult evaluate_predictions(
   const std::span<const std::uint32_t> ids = ctx->ids;
   bgp::ThreadPool pool(options.threads);
   bgp::run_jobs(engine, jobs, pool,
-                [&](std::size_t j, bgp::PrefixSimResult&& sim) {
+                [&](std::size_t j, const bgp::PrefixSimResult& sim) {
                   const auto& paths = *job_paths[j];
                   auto& outcome = result.by_origin[sim.origin];
                   std::size_t matched = 0;

@@ -137,7 +137,7 @@ class Refiner {
   /// through re-simulation).
   Model::Dense snapshot_proxy(const PrefixSimResult& sim,
                               Model::Dense r) const {
-    if (r < sim.routers.size()) return r;
+    if (r < sim.num_routers()) return r;
     const auto it = alias_.find(r);
     return it == alias_.end() ? Model::kNoRouter : it->second;
   }
@@ -173,14 +173,14 @@ Refiner::Candidates Refiner::scan(
   for (Model::Dense r : model_.routers_of(a)) {
     const Model::Dense proxy = snapshot_proxy(sim, r);
     if (proxy == Model::kNoRouter) continue;  // no simulated stand-in
-    const bgp::RouterState& state = sim.routers[proxy];
     const auto reservation = reserved.find(r);
     // Reserved for the same suffix == available for this suffix.
     const bool is_reserved =
         reservation != reserved.end() &&
         !route_path_equals(reservation->second, route_path);
-    const bgp::Route* best = state.best_route();
-    if (best != nullptr && route_path_equals(best->path, route_path)) {
+    const PrefixSimResult::Row best = sim.best_row(proxy);
+    if (best != PrefixSimResult::kNoRow &&
+        route_path_equals(sim.path(best), route_path)) {
       if (!is_reserved && out.rib_out_unreserved == Model::kNoRouter)
         out.rib_out_unreserved = r;
       // A RIB-Out match implies a RIB-In match.
@@ -189,8 +189,8 @@ Refiner::Candidates Refiner::scan(
         out.rib_in_unreserved = r;
       continue;
     }
-    for (const bgp::Route& entry : state.rib_in) {
-      if (!route_path_equals(entry.path, route_path)) continue;
+    for (const PrefixSimResult::Row row : sim.rows(proxy)) {
+      if (!route_path_equals(sim.path(row), route_path)) continue;
       if (out.rib_in_any == Model::kNoRouter) out.rib_in_any = r;
       if (!is_reserved && out.rib_in_unreserved == Model::kNoRouter)
         out.rib_in_unreserved = r;
@@ -252,8 +252,9 @@ bool Refiner::try_filter_deletion(const PrefixWork& work,
   for (Model::Dense q : model_.routers_of(announcing)) {
     const Model::Dense proxy = snapshot_proxy(sim, q);
     if (proxy == Model::kNoRouter) continue;
-    const bgp::Route* best = sim.routers[proxy].best_route();
-    if (best == nullptr || !route_path_equals(best->path, neighbor_route))
+    const PrefixSimResult::Row best = sim.best_row(proxy);
+    if (best == PrefixSimResult::kNoRow ||
+        !route_path_equals(sim.path(best), neighbor_route))
       continue;
     const RouterId q_id = model_.router_id(q);
     for (Model::Dense r : model_.routers_of(a)) {
@@ -698,8 +699,8 @@ RefineResult refine_model(topo::Model& model,
                          "sim-worker-" + std::to_string(worker));
   }
   // Per simulated prefix of an instrumented sweep: which worker ran it, its
-  // span on the sweep clock, the worker arena's high-water mark when it
-  // finished, and its predicted cost.
+  // span on the sweep clock, the bytes its simulation held (worker scratch
+  // plus result table) when it finished, and its predicted cost.
   struct ItemRec {
     unsigned worker = 0;
     std::uint64_t start_us = 0;
@@ -712,7 +713,7 @@ RefineResult refine_model(topo::Model& model,
   // section 12).  The profiler prices each prefix with the planner's
   // relaxed cost model at its default caps (analysis::view_cost).
   const analysis::RouteSpaceOptions cost_space;
-  // One simulation arena per pool slot: parallel_for_worker guarantees a
+  // One simulation scratch per pool slot: parallel_for_worker guarantees a
   // slot is owned by one thread per batch, so sweeps reuse these buffers
   // across prefixes and iterations with no per-message heap traffic.
   std::vector<bgp::SimMemory> sim_memory(pool.shard_count());
@@ -720,7 +721,7 @@ RefineResult refine_model(topo::Model& model,
   std::size_t routers_added_prev = refiner.routers_added;
   std::size_t policies_changed_prev = refiner.policies_changed;
   bool reached_fixpoint = false;
-  // Reused across iterations so sims keep their RouterState capacity.
+  // Reused across iterations so sims keep their row and hop capacity.
   std::vector<std::size_t> active_index;
   std::vector<PrefixSimResult> sims;
   std::vector<analysis::Diagnostics> sim_diags;
@@ -789,7 +790,8 @@ RefineResult refine_model(topo::Model& model,
         engine.run_into(view, mem,
                         counting ? &sim_counters[i] : nullptr, nullptr,
                         sims[i]);
-        const std::uint64_t arena = mem.footprint_bytes();
+        const std::uint64_t arena =
+            mem.footprint_bytes() + sims[i].footprint_bytes();
         if (flight != nullptr)
           flight->record(1 + worker, obs::FlightEventType::kShardEnd,
                          iteration, i, arena);

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "bgp/sim_memory.hpp"
+
 namespace core {
 
 using topo::Model;
@@ -44,12 +46,13 @@ std::set<std::vector<nb::Asn>> best_paths_of(const Model& model,
                                              nb::Asn asn) {
   std::set<std::vector<nb::Asn>> out;
   for (Model::Dense r : model.routers_of(asn)) {
-    const bgp::Route* best = sim.routers[r].best_route();
-    if (best == nullptr) continue;
+    const bgp::PrefixSimResult::Row best = sim.best_row(r);
+    if (best == bgp::PrefixSimResult::kNoRow) continue;
+    const std::span<const nb::Asn> path = sim.path(best);
     std::vector<nb::Asn> full;
-    full.reserve(best->path.size() + 1);
+    full.reserve(path.size() + 1);
     full.push_back(asn);
-    full.insert(full.end(), best->path.begin(), best->path.end());
+    full.insert(full.end(), path.begin(), path.end());
     out.insert(std::move(full));
   }
   return out;
@@ -58,12 +61,15 @@ std::set<std::vector<nb::Asn>> best_paths_of(const Model& model,
 void diff_origin_routes(const Model& base, const bgp::Engine& before_engine,
                         const Model& changed, const bgp::Engine& after_engine,
                         nb::Asn origin, const WhatIfOptions& options,
-                        WhatIfResult* result) {
+                        bgp::SimMemory& memory, bgp::PrefixSimResult& before,
+                        bgp::PrefixSimResult& after, WhatIfResult* result) {
   if (!base.has_as(origin)) return;
   ++result->prefixes_evaluated;
   const nb::Prefix prefix = nb::Prefix::for_asn(origin);
-  auto before = before_engine.run(prefix, origin);
-  auto after = after_engine.run(prefix, origin);
+  before_engine.run_into(before_engine.identity_view(prefix, origin), memory,
+                         nullptr, nullptr, before);
+  after_engine.run_into(after_engine.identity_view(prefix, origin), memory,
+                        nullptr, nullptr, after);
   for (nb::Asn asn : base.asns()) {
     if (!options.observers.empty() && !options.observers.count(asn)) continue;
     ++result->pairs_evaluated;
@@ -90,6 +96,8 @@ WhatIfResult evaluate_whatif(const Model& base, const WhatIfScenario& scenario,
   const Model changed = apply_scenario(base, scenario);
   bgp::Engine engine_before(base, options.engine);
   bgp::Engine engine_after(changed, options.engine);
+  bgp::SimMemory memory;
+  bgp::PrefixSimResult before, after;
 
   const auto start = std::chrono::steady_clock::now();
   for (nb::Asn origin : origins) {
@@ -108,7 +116,7 @@ WhatIfResult evaluate_whatif(const Model& base, const WhatIfScenario& scenario,
       break;
     }
     diff_origin_routes(base, engine_before, changed, engine_after, origin,
-                      options, &result);
+                       options, memory, before, after, &result);
   }
   return result;
 }

@@ -109,9 +109,12 @@ WhatIfResult evaluate_whatif(const topo::Model& base,
 /// cached copy-on-write fork across requests and check its own deadline
 /// between prefixes.  Accumulates counts and (capped) changes into
 /// `result`; `before` must simulate `base` and `after` the forked model.
+/// `memory`, `before_sim` and `after_sim` are caller-owned storage the two
+/// runs overwrite and recycle (the daemon keeps one set per worker).
 void diff_origin_routes(const topo::Model& base, const bgp::Engine& before,
                         const topo::Model& changed, const bgp::Engine& after,
                         nb::Asn origin, const WhatIfOptions& options,
-                        WhatIfResult* result);
+                        bgp::SimMemory& memory, bgp::PrefixSimResult& before_sim,
+                        bgp::PrefixSimResult& after_sim, WhatIfResult* result);
 
 }  // namespace core

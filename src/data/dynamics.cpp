@@ -101,24 +101,23 @@ UpdateStream simulate_session_failures(const GroundTruth& gt,
 
     std::vector<std::vector<UpdateRecord>> per_job(jobs.size());
     bgp::run_jobs(engine, jobs, pool,
-                  [&](std::size_t j, bgp::PrefixSimResult&& sim) {
+                  [&](std::size_t j, const bgp::PrefixSimResult& sim) {
                     auto& out = per_job[j];
                     for (auto& [point, dense] : feeds) {
-                      const bgp::Route* best =
-                          sim.routers[dense].best_route();
+                      const auto best = sim.best_row(dense);
                       auto it = baseline.find({point, sim.origin});
                       const bool had = it != baseline.end();
-                      if (best == nullptr) {
+                      if (best == bgp::PrefixSimResult::kNoRow) {
                         if (had)
                           out.push_back({event_index, point, sim.origin,
                                          std::nullopt});
                         continue;
                       }
+                      const std::span<const nb::Asn> path = sim.path(best);
                       std::vector<nb::Asn> hops;
-                      hops.reserve(best->path.size() + 1);
+                      hops.reserve(path.size() + 1);
                       hops.push_back(base.points[point].router.asn());
-                      hops.insert(hops.end(), best->path.begin(),
-                                  best->path.end());
+                      hops.insert(hops.end(), path.begin(), path.end());
                       if (had && it->second == hops) continue;  // unchanged
                       out.push_back({event_index, point, sim.origin,
                                      AsPath{std::move(hops)}});

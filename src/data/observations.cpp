@@ -88,17 +88,16 @@ BgpDataset observe(const GroundTruth& gt, const Internet& net,
 
   std::vector<std::vector<ObservedRecord>> per_job(jobs.size());
   bgp::run_jobs(engine, jobs, pool,
-                [&](std::size_t j, bgp::PrefixSimResult&& result) {
+                [&](std::size_t j, const bgp::PrefixSimResult& result) {
                   auto& out = per_job[j];
                   for (auto& [index, dense] : feed_routers) {
-                    const bgp::Route* best =
-                        result.routers[dense].best_route();
-                    if (best == nullptr) continue;
+                    const auto best = result.best_row(dense);
+                    if (best == bgp::PrefixSimResult::kNoRow) continue;
+                    const std::span<const Asn> path = result.path(best);
                     std::vector<Asn> hops;
-                    hops.reserve(best->path.size() + 1);
+                    hops.reserve(path.size() + 1);
                     hops.push_back(dataset.points[index].router.asn());
-                    hops.insert(hops.end(), best->path.begin(),
-                                best->path.end());
+                    hops.insert(hops.end(), path.begin(), path.end());
                     out.push_back({index, result.origin,
                                    AsPath{std::move(hops)}});
                   }

@@ -40,13 +40,13 @@ RefineMetricSet RefineMetricSet::define(Registry& registry) {
 std::array<std::uint64_t, bgp::kNumDecisionSteps> elimination_histogram(
     std::span<const std::uint32_t> ids, const bgp::PrefixSimResult& sim) {
   std::array<std::uint64_t, bgp::kNumDecisionSteps> histogram{};
-  for (const bgp::RouterState& state : sim.routers) {
-    const bgp::Route* best = state.best_route();
-    if (best == nullptr) continue;
-    for (const bgp::Route& route : state.rib_in) {
-      if (&route == best) continue;
+  for (std::uint32_t r = 0; r < sim.num_routers(); ++r) {
+    const bgp::PrefixSimResult::Row best = sim.best_row(r);
+    if (best == bgp::PrefixSimResult::kNoRow) continue;
+    for (const bgp::PrefixSimResult::Row row : sim.rows(r)) {
+      if (row == best) continue;
       const bgp::DecisionStep step =
-          bgp::compare_routes(route, *best, ids).step;
+          bgp::compare_views(sim.view(row), sim.view(best), ids).step;
       ++histogram[static_cast<std::size_t>(step)];
     }
   }

@@ -3,8 +3,8 @@
 //
 // The instrumented sweep (core/refine) measures one SweepShardSample per
 // simulated prefix -- a "shard" is one prefix -- recording which worker ran
-// it, how long it took, how many messages it processed, the worker arena's
-// high-water mark, and its PREDICTED cost from the static relaxed cost
+// it, how long it took, how many messages it processed, the bytes its
+// simulation held, and its PREDICTED cost from the static relaxed cost
 // model (analysis::view_cost over the view the sweep simulated).  Each
 // iteration's simulate phase span is the parallel section those samples
 // ran inside.  profile_sweep() folds the two into a speedup-loss
@@ -46,8 +46,11 @@ struct SweepShardSample {
   std::uint64_t dur_us = 0;
   std::uint64_t messages = 0;
   std::size_t prefixes = 0;  // always 1 from the refinement sweep
-  /// Worker simulation-arena footprint (bgp::SimMemory::footprint_bytes,
-  /// a high-water mark) when the shard finished.
+  /// Bytes the prefix's simulation held when it finished: the worker's
+  /// scratch (bgp::SimMemory::footprint_bytes) plus the prefix's result
+  /// table (bgp::PrefixSimResult::footprint_bytes).  Both are reserved
+  /// capacities that never shrink, so a recycled result reports its
+  /// high-water mark.
   std::uint64_t arena_bytes = 0;
 };
 

@@ -264,12 +264,17 @@ void Server::serve_connection(std::uint64_t conn_id, Connection* conn) {
                                         "deadline exceeded")))
       break;
   }
-  conn->stream.close();
+  {
+    // shutdown() calls shutdown_both() on live streams under this lock;
+    // closing under it too keeps that from reading a closing (or reused) fd.
+    std::lock_guard<std::mutex> lock(conns_mutex_);
+    conn->stream.close();
+  }
   conn->finished.store(true, std::memory_order_release);
 }
 
 void Server::worker_loop(unsigned worker) {
-  bgp::SimMemory memory;
+  SimBuffers buffers;
   for (;;) {
     std::shared_ptr<Pending> pending;
     {
@@ -296,7 +301,7 @@ void Server::worker_loop(unsigned worker) {
     }
     executing_.fetch_add(1);
     const std::string response =
-        execute(pending->request, pending->deadline, memory, worker);
+        execute(pending->request, pending->deadline, buffers, worker);
     executing_.fetch_sub(1);
     {
       std::lock_guard<std::mutex> lock(pending->mutex);
@@ -310,7 +315,7 @@ void Server::worker_loop(unsigned worker) {
 }
 
 std::string Server::execute(const ServeRequest& request,
-                            Clock::time_point deadline, bgp::SimMemory& memory,
+                            Clock::time_point deadline, SimBuffers& buffers,
                             unsigned worker) {
   const std::uint64_t start_us =
       config_.trace != nullptr ? config_.trace->now_us() : 0;
@@ -333,13 +338,13 @@ std::string Server::execute(const ServeRequest& request,
 #endif
     switch (request.op) {
       case ServeRequest::Op::kPredict:
-        response = handle_predict(request, memory);
+        response = handle_predict(request, buffers);
         break;
       case ServeRequest::Op::kExplain:
-        response = handle_explain(request, memory);
+        response = handle_explain(request, buffers);
         break;
       case ServeRequest::Op::kWhatIf:
-        response = handle_whatif(request, deadline);
+        response = handle_whatif(request, deadline, buffers);
         break;
       case ServeRequest::Op::kHealth:
         response = handle_health(request);
@@ -391,16 +396,16 @@ std::string Server::execute(const ServeRequest& request,
 }
 
 std::string Server::handle_predict(const ServeRequest& request,
-                                   bgp::SimMemory& memory) {
+                                   SimBuffers& buffers) {
   if (!model_.has_as(request.origin) || !model_.has_as(request.vantage)) {
     return render_failure(request.id, "error",
                           analysis::codes::kServeBadRequest,
                           "origin and vantage must name ASes in the model");
   }
-  bgp::PrefixSimResult sim;
+  bgp::PrefixSimResult& sim = buffers.sim;
   const nb::Prefix prefix = nb::Prefix::for_asn(request.origin);
-  engine_.run_into(engine_.identity_view(prefix, request.origin), memory,
-                   nullptr, nullptr, sim);
+  engine_.run_into(engine_.identity_view(prefix, request.origin),
+                   buffers.memory, nullptr, nullptr, sim);
   bool diverged = !sim.converged;
 #ifdef RD_FAULT_INJECTION
   if (config_.fault.honor_request_faults && request.fault == "diverge")
@@ -427,16 +432,16 @@ std::string Server::handle_predict(const ServeRequest& request,
 }
 
 std::string Server::handle_explain(const ServeRequest& request,
-                                   bgp::SimMemory& memory) {
+                                   SimBuffers& buffers) {
   if (!model_.has_as(request.origin) || !model_.has_as(request.vantage)) {
     return render_failure(request.id, "error",
                           analysis::codes::kServeBadRequest,
                           "origin and as must name ASes in the model");
   }
-  bgp::PrefixSimResult sim;
+  bgp::PrefixSimResult& sim = buffers.sim;
   const nb::Prefix prefix = nb::Prefix::for_asn(request.origin);
-  engine_.run_into(engine_.identity_view(prefix, request.origin), memory,
-                   nullptr, nullptr, sim);
+  engine_.run_into(engine_.identity_view(prefix, request.origin),
+                   buffers.memory, nullptr, nullptr, sim);
   nb::JsonWriter json;
   begin_response(&json, request.id, "ok");
   json.key("op").value("explain");
@@ -494,7 +499,8 @@ std::shared_ptr<Server::Fork> Server::fork_for(const ServeRequest& request) {
 }
 
 std::string Server::handle_whatif(const ServeRequest& request,
-                                  Clock::time_point deadline) {
+                                  Clock::time_point deadline,
+                                  SimBuffers& buffers) {
   if (request.edit == "session-down") {
     if (!model_.has_router(request.session_a) ||
         !model_.has_router(request.session_b) ||
@@ -538,7 +544,8 @@ std::string Server::handle_whatif(const ServeRequest& request,
     }
     if (!model_.has_as(origin)) continue;
     core::diff_origin_routes(model_, engine_, fork->changed, fork->engine,
-                             origin, options, &result);
+                             origin, options, buffers.memory, buffers.sim,
+                             buffers.after, &result);
   }
 
   nb::JsonWriter json;
@@ -621,8 +628,8 @@ std::string Server::answer(const std::string& request_text) {
                           parse_error);
   }
   stats_.requests.fetch_add(1);
-  bgp::SimMemory memory;
-  return execute(*request, request_deadline(*request), memory, 0);
+  SimBuffers buffers;
+  return execute(*request, request_deadline(*request), buffers, 0);
 }
 
 ServeStatus Server::status() const {

@@ -6,8 +6,9 @@
 //  * Concurrency: a fixed worker pool executes read-only queries against
 //    one shared Engine whose epoch-cached SimContext snapshot makes
 //    concurrent const run() calls safe; each worker owns a SimMemory
-//    arena that predict and explain simulate in, so the steady state
-//    allocates (amortized) nothing per simulation.
+//    scratch and two PrefixSimResults that predict, explain and what-if
+//    simulate into, so the steady state allocates (amortized) nothing per
+//    simulation.
 //    What-if queries run against copy-on-write model forks cached by edit
 //    key and base-model generation (Model::generation()).
 //  * Deadlines: every request gets a wall-clock deadline (server default,
@@ -45,6 +46,7 @@
 #include <vector>
 
 #include "bgp/engine.hpp"
+#include "bgp/sim_memory.hpp"
 #include "core/fault_inject.hpp"
 #include "netbase/socket.hpp"
 #include "serve/protocol.hpp"
@@ -203,6 +205,14 @@ class Server {
     std::atomic<bool> finished{false};
   };
 
+  /// One worker's reusable simulation storage: predict and explain run
+  /// into `sim`; what-if diffs `sim` (base model) against `after` (fork).
+  struct SimBuffers {
+    bgp::SimMemory memory;
+    bgp::PrefixSimResult sim;
+    bgp::PrefixSimResult after;
+  };
+
   std::chrono::steady_clock::time_point request_deadline(
       const ServeRequest& request) const;
 
@@ -216,13 +226,12 @@ class Server {
   /// returns the rendered response.  Never throws: faults become R712.
   std::string execute(const ServeRequest& request,
                       std::chrono::steady_clock::time_point deadline,
-                      bgp::SimMemory& memory, unsigned worker);
-  std::string handle_predict(const ServeRequest& request,
-                             bgp::SimMemory& memory);
-  std::string handle_explain(const ServeRequest& request,
-                             bgp::SimMemory& memory);
+                      SimBuffers& buffers, unsigned worker);
+  std::string handle_predict(const ServeRequest& request, SimBuffers& buffers);
+  std::string handle_explain(const ServeRequest& request, SimBuffers& buffers);
   std::string handle_whatif(const ServeRequest& request,
-                            std::chrono::steady_clock::time_point deadline);
+                            std::chrono::steady_clock::time_point deadline,
+                            SimBuffers& buffers);
   std::string handle_health(const ServeRequest& request);
 
   std::shared_ptr<Fork> fork_for(const ServeRequest& request);

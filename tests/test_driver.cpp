@@ -36,7 +36,7 @@ TEST(DriverTest, EveryJobConsumedOnce) {
   bgp::ThreadPool pool(2);
   std::vector<int> seen(jobs.size(), 0);
   bgp::run_jobs(engine, jobs, pool,
-                [&](std::size_t index, bgp::PrefixSimResult&& result) {
+                [&](std::size_t index, const bgp::PrefixSimResult& result) {
                   ++seen[index];
                   EXPECT_EQ(result.origin, jobs[index].origin);
                   EXPECT_TRUE(result.converged);
@@ -53,7 +53,7 @@ TEST(DriverTest, ConsumerSerialized) {
   int max_concurrent = 0;
   std::mutex check;
   bgp::run_jobs(engine, jobs, pool,
-                [&](std::size_t, bgp::PrefixSimResult&&) {
+                [&](std::size_t, const bgp::PrefixSimResult&) {
                   // run_jobs holds its own mutex around the consumer; this
                   // counter must therefore never exceed 1.
                   {
@@ -74,14 +74,14 @@ TEST(DriverTest, ResultsMatchDirectRuns) {
   bgp::ThreadPool pool(3);
   std::vector<bgp::PrefixSimResult> results(jobs.size());
   bgp::run_jobs(engine, jobs, pool,
-                [&](std::size_t index, bgp::PrefixSimResult&& result) {
-                  results[index] = std::move(result);
+                [&](std::size_t index, const bgp::PrefixSimResult& result) {
+                  results[index] = result;
                 });
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     auto direct = engine.run(jobs[i].prefix, jobs[i].origin);
-    ASSERT_EQ(results[i].routers.size(), direct.routers.size());
-    for (std::size_t r = 0; r < direct.routers.size(); ++r)
-      EXPECT_EQ(results[i].routers[r].best, direct.routers[r].best);
+    ASSERT_EQ(results[i].num_routers(), direct.num_routers());
+    for (std::uint32_t r = 0; r < direct.num_routers(); ++r)
+      EXPECT_EQ(results[i].best(r), direct.best(r));
   }
 }
 

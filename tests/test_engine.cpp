@@ -17,9 +17,20 @@ using topo::Model;
 
 std::vector<Asn> best_path(const Model& m, const PrefixSimResult& sim,
                            RouterId router) {
-  const bgp::Route* best = sim.routers[m.dense(router)].best_route();
-  EXPECT_NE(best, nullptr) << "no best route at " << router.str();
-  return best == nullptr ? std::vector<Asn>{} : best->path;
+  const PrefixSimResult::Row best = sim.best_row(m.dense(router));
+  EXPECT_NE(best, PrefixSimResult::kNoRow)
+      << "no best route at " << router.str();
+  return best == PrefixSimResult::kNoRow ? std::vector<Asn>{}
+                                         : sim.route(best).path;
+}
+
+/// Router `router`'s Adj-RIB-In as Routes, in insertion order.
+std::vector<bgp::Route> rib_in(const Model& m, const PrefixSimResult& sim,
+                               RouterId router) {
+  std::vector<bgp::Route> out;
+  for (const PrefixSimResult::Row row : sim.rows(m.dense(router)))
+    out.push_back(sim.route(row));
+  return out;
 }
 
 Model line_model() {
@@ -60,7 +71,7 @@ TEST(EngineTest, ShortestPathWinsInDiamond) {
   auto sim = e.run(Prefix::for_asn(4), 4);
   EXPECT_EQ(best_path(m, sim, RouterId{1, 0}), (std::vector<Asn>{2, 4}));
   // The longer route is still in the RIB-In.
-  const auto& rib = sim.routers[m.dense(RouterId{1, 0})].rib_in;
+  const auto rib = rib_in(m, sim, RouterId{1, 0});
   bool has_long = false;
   for (const auto& entry : rib)
     has_long |= entry.path == std::vector<Asn>{3, 5, 4};
@@ -72,7 +83,8 @@ TEST(EngineTest, UnknownOriginYieldsEmptyResult) {
   Engine e(m);
   auto sim = e.run(Prefix::for_asn(99), 99);
   EXPECT_TRUE(sim.converged);
-  for (const auto& state : sim.routers) EXPECT_EQ(state.best, -1);
+  for (std::uint32_t r = 0; r < sim.num_routers(); ++r)
+    EXPECT_EQ(sim.best(r), -1);
 }
 
 TEST(EngineTest, TieBreakPrefersLowerRouterId) {
@@ -98,7 +110,7 @@ TEST(EngineTest, LoopPreventionDropsOwnAsn) {
   Model m = Model::one_router_per_as(g);
   Engine e(m);
   auto sim = e.run(Prefix::for_asn(3), 3);
-  for (const auto& entry : sim.routers[m.dense(RouterId{1, 0})].rib_in)
+  for (const auto& entry : rib_in(m, sim, RouterId{1, 0}))
     EXPECT_FALSE(bgp::path_contains(entry.path, 1));
 }
 
@@ -109,8 +121,8 @@ TEST(EngineTest, DenyAllFilterBlocksPrefix) {
                       topo::ExportFilter::kDenyAll, nb::kInvalidRouterId);
   Engine e(m);
   auto sim = e.run(p, 4);
-  EXPECT_EQ(sim.routers[m.dense(RouterId{2, 0})].best, -1);
-  EXPECT_EQ(sim.routers[m.dense(RouterId{1, 0})].best, -1);
+  EXPECT_EQ(sim.best(m.dense(RouterId{2, 0})), -1);
+  EXPECT_EQ(sim.best(m.dense(RouterId{1, 0})), -1);
   // AS 3 itself still has the route.
   EXPECT_EQ(best_path(m, sim, RouterId{3, 0}), (std::vector<Asn>{4}));
 }
@@ -216,7 +228,7 @@ TEST(EngineTest, RelationshipPoliciesValleyFreeExport) {
   Engine e2(m2, opts);
   auto sim2 = e2.run(Prefix::for_asn(1), 1);
   // Peer-learned route not exported to peer 3...
-  EXPECT_EQ(sim2.routers[m2.dense(RouterId{3, 0})].best, -1);
+  EXPECT_EQ(sim2.best(m2.dense(RouterId{3, 0})), -1);
   // ...but exported to customer 5.
   EXPECT_EQ(best_path(m2, sim2, RouterId{5, 0}), (std::vector<Asn>{2, 1}));
 }
@@ -290,7 +302,7 @@ TEST(EngineTest, MultiRouterAsPropagatesDiversity) {
   Engine e(m);
   auto sim = e.run(p, 9);
   std::set<std::vector<Asn>> seen;
-  for (const auto& entry : sim.routers[m.dense(RouterId{1, 0})].rib_in)
+  for (const auto& entry : rib_in(m, sim, RouterId{1, 0}))
     seen.insert(entry.path);
   EXPECT_TRUE(seen.count({2, 3, 9}));
   EXPECT_TRUE(seen.count({2, 4, 9}));
@@ -315,7 +327,7 @@ TEST(EngineTest, WithdrawOnFilteredBestChange) {
   EXPECT_TRUE(sim.converged);
   EXPECT_EQ(best_path(m, sim, RouterId{3, 0}), (std::vector<Asn>{2, 4}));
   // 2's RIB-In has only the direct route (no entry from 3).
-  const auto& rib = sim.routers[m.dense(RouterId{2, 0})].rib_in;
+  const auto rib = rib_in(m, sim, RouterId{2, 0});
   ASSERT_EQ(rib.size(), 1u);
   EXPECT_EQ(rib[0].path, (std::vector<Asn>{4}));
 }
@@ -325,12 +337,12 @@ TEST(EngineTest, DeterministicAcrossRuns) {
   Engine e(m);
   auto a = e.run(Prefix::for_asn(4), 4);
   auto b = e.run(Prefix::for_asn(4), 4);
-  ASSERT_EQ(a.routers.size(), b.routers.size());
-  for (std::size_t i = 0; i < a.routers.size(); ++i) {
-    EXPECT_EQ(a.routers[i].best, b.routers[i].best);
-    ASSERT_EQ(a.routers[i].rib_in.size(), b.routers[i].rib_in.size());
-    for (std::size_t j = 0; j < a.routers[i].rib_in.size(); ++j)
-      EXPECT_EQ(a.routers[i].rib_in[j].path, b.routers[i].rib_in[j].path);
+  ASSERT_EQ(a.num_routers(), b.num_routers());
+  for (std::uint32_t i = 0; i < a.num_routers(); ++i) {
+    EXPECT_EQ(a.best(i), b.best(i));
+    ASSERT_EQ(a.rows(i).size(), b.rows(i).size());
+    for (int j = 0; j < static_cast<int>(a.rows(i).size()); ++j)
+      EXPECT_EQ(a.route(a.row(i, j)).path, b.route(b.row(i, j)).path);
   }
 }
 
@@ -373,11 +385,11 @@ TEST(EngineTest, ModelMutationPickedUpBetweenRuns) {
   Model m = line_model();
   Engine e(m);
   auto before = e.run(Prefix::for_asn(4), 4);
-  EXPECT_NE(before.routers[m.dense(RouterId{1, 0})].best, -1);
+  EXPECT_NE(before.best(m.dense(RouterId{1, 0})), -1);
   m.set_export_filter(RouterId{2, 0}, RouterId{1, 0}, Prefix::for_asn(4),
                       topo::ExportFilter::kDenyAll, nb::kInvalidRouterId);
   auto after = e.run(Prefix::for_asn(4), 4);
-  EXPECT_EQ(after.routers[m.dense(RouterId{1, 0})].best, -1);
+  EXPECT_EQ(after.best(m.dense(RouterId{1, 0})), -1);
 }
 
 }  // namespace

@@ -32,10 +32,9 @@ TEST(EngineDefaultRanking, AppliesWhenNoPrefixRule) {
   m.set_default_ranking(RouterId{1, 0}, 3);
   bgp::Engine engine(m);
   auto sim = engine.run(Prefix::for_asn(4), 4);
-  const bgp::Route* best =
-      sim.routers[m.dense(RouterId{1, 0})].best_route();
-  ASSERT_NE(best, nullptr);
-  EXPECT_EQ(best->path, (std::vector<Asn>{3, 4}));
+  const auto best = sim.best_row(m.dense(RouterId{1, 0}));
+  ASSERT_NE(best, bgp::PrefixSimResult::kNoRow);
+  EXPECT_EQ(sim.route(best).path, (std::vector<Asn>{3, 4}));
 }
 
 TEST(EngineDefaultRanking, PerPrefixRuleOverridesDefault) {
@@ -44,11 +43,11 @@ TEST(EngineDefaultRanking, PerPrefixRuleOverridesDefault) {
   m.set_ranking(RouterId{1, 0}, Prefix::for_asn(4), 2);
   bgp::Engine engine(m);
   auto sim = engine.run(Prefix::for_asn(4), 4);
-  EXPECT_EQ(sim.routers[m.dense(RouterId{1, 0})].best_route()->path,
+  EXPECT_EQ(sim.route(sim.best_row(m.dense(RouterId{1, 0}))).path,
             (std::vector<Asn>{2, 4}));
   // The other prefix still follows the default.
   auto other = engine.run(Prefix::for_asn(5), 5);
-  EXPECT_EQ(other.routers[m.dense(RouterId{1, 0})].best_route()->path,
+  EXPECT_EQ(other.route(other.best_row(m.dense(RouterId{1, 0}))).path,
             (std::vector<Asn>{3, 5}));
 }
 
@@ -74,19 +73,18 @@ TEST(ExportAllowTest, LeakBypassesValleyFreeForOnePrefix) {
   options.use_relationship_policies = true;
   bgp::Engine engine(m, options);
   auto blocked = engine.run(Prefix::for_asn(1), 1);
-  EXPECT_EQ(blocked.routers[m.dense(RouterId{3, 0})].best, -1);
+  EXPECT_EQ(blocked.best(m.dense(RouterId{3, 0})), -1);
 
   m.set_export_allow(RouterId{2, 0}, RouterId{3, 0}, Prefix::for_asn(1));
   auto leaked = engine.run(Prefix::for_asn(1), 1);
-  const bgp::Route* best =
-      leaked.routers[m.dense(RouterId{3, 0})].best_route();
-  ASSERT_NE(best, nullptr);
-  EXPECT_EQ(best->path, (std::vector<Asn>{2, 1}));
+  const auto best = leaked.best_row(m.dense(RouterId{3, 0}));
+  ASSERT_NE(best, bgp::PrefixSimResult::kNoRow);
+  EXPECT_EQ(leaked.route(best).path, (std::vector<Asn>{2, 1}));
   // Other prefixes remain subject to the valley-free rule: 2's own prefix
   // is originated (always exportable), so probe with a second peer origin.
   // Reuse origin 3 toward 1: the leak was directional and per-prefix.
   auto reverse = engine.run(Prefix::for_asn(3), 3);
-  EXPECT_EQ(reverse.routers[m.dense(RouterId{1, 0})].best, -1);
+  EXPECT_EQ(reverse.best(m.dense(RouterId{1, 0})), -1);
 }
 
 TEST(GranularityTest, CountsUniformAndMixedRouters) {
@@ -131,10 +129,11 @@ TEST(GeneralizeTest, PreservesBehaviourOnRuledPrefixes) {
   core::generalize_rankings(m);
   auto after4 = engine.run(Prefix::for_asn(4), 4);
   auto after5 = engine.run(Prefix::for_asn(5), 5);
-  for (std::size_t r = 0; r < before4.routers.size(); ++r) {
+  for (std::size_t r = 0; r < before4.num_routers(); ++r) {
     auto path_of = [](const bgp::PrefixSimResult& sim, std::size_t i) {
-      const bgp::Route* best = sim.routers[i].best_route();
-      return best == nullptr ? std::vector<Asn>{} : best->path;
+      const auto best = sim.best_row(i);
+      return best == bgp::PrefixSimResult::kNoRow ? std::vector<Asn>{}
+                                                  : sim.route(best).path;
     };
     EXPECT_EQ(path_of(before4, r), path_of(after4, r));
     EXPECT_EQ(path_of(before5, r), path_of(after5, r));

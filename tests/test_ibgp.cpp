@@ -34,11 +34,11 @@ TEST(IbgpTest, WithoutMeshRoutersAreIsolated) {
   bgp::Engine engine(m);
   auto sim = engine.run(Prefix::for_asn(9), 9);
   // Each router only knows its own upstream.
-  EXPECT_EQ(sim.routers[m.dense(RouterId{1, 0})].rib_in.size(), 1u);
-  EXPECT_EQ(sim.routers[m.dense(RouterId{1, 1})].rib_in.size(), 1u);
-  EXPECT_EQ(sim.routers[m.dense(RouterId{1, 0})].best_route()->path,
+  EXPECT_EQ(sim.rows(m.dense(RouterId{1, 0})).size(), 1u);
+  EXPECT_EQ(sim.rows(m.dense(RouterId{1, 1})).size(), 1u);
+  EXPECT_EQ(sim.route(sim.best_row(m.dense(RouterId{1, 0}))).path,
             (std::vector<Asn>{2, 9}));
-  EXPECT_EQ(sim.routers[m.dense(RouterId{1, 1})].best_route()->path,
+  EXPECT_EQ(sim.route(sim.best_row(m.dense(RouterId{1, 1}))).path,
             (std::vector<Asn>{3, 9}));
 }
 
@@ -49,10 +49,11 @@ TEST(IbgpTest, MeshSharesExternalRoutes) {
   bgp::Engine engine(m, options);
   auto sim = engine.run(Prefix::for_asn(9), 9);
   // Each router of AS 1 now also holds the mate's route, flagged iBGP.
-  const auto& rib0 = sim.routers[m.dense(RouterId{1, 0})].rib_in;
+  const auto rib0 = sim.rows(m.dense(RouterId{1, 0}));
   ASSERT_EQ(rib0.size(), 2u);
   bool has_ibgp = false;
-  for (const auto& entry : rib0) {
+  for (const bgp::PrefixSimResult::Row row : rib0) {
+    const bgp::Route entry = sim.route(row);
     if (entry.ibgp) {
       has_ibgp = true;
       EXPECT_EQ(entry.path, (std::vector<Asn>{3, 9}));
@@ -60,9 +61,9 @@ TEST(IbgpTest, MeshSharesExternalRoutes) {
   }
   EXPECT_TRUE(has_ibgp);
   // eBGP wins over iBGP at equal preference: own external stays best.
-  EXPECT_EQ(sim.routers[m.dense(RouterId{1, 0})].best_route()->path,
+  EXPECT_EQ(sim.route(sim.best_row(m.dense(RouterId{1, 0}))).path,
             (std::vector<Asn>{2, 9}));
-  EXPECT_FALSE(sim.routers[m.dense(RouterId{1, 0})].best_route()->ibgp);
+  EXPECT_FALSE(sim.route(sim.best_row(m.dense(RouterId{1, 0}))).ibgp);
 }
 
 TEST(IbgpTest, ShorterIbgpRouteWinsOverLongerExternal) {
@@ -84,12 +85,12 @@ TEST(IbgpTest, ShorterIbgpRouteWinsOverLongerExternal) {
   options.use_ibgp_mesh = true;
   bgp::Engine engine(m, options);
   auto sim = engine.run(Prefix::for_asn(9), 9);
-  const bgp::Route* best = sim.routers[m.dense(r11)].best_route();
-  ASSERT_NE(best, nullptr);
-  EXPECT_TRUE(best->ibgp);
-  EXPECT_EQ(best->path, (std::vector<Asn>{2, 9}));
-  // external_route still reports the eBGP choice.
-  EXPECT_EQ(sim.routers[m.dense(r11)].external_route()->path,
+  const auto best = sim.best_row(m.dense(r11));
+  ASSERT_NE(best, bgp::PrefixSimResult::kNoRow);
+  EXPECT_TRUE(sim.route(best).ibgp);
+  EXPECT_EQ(sim.route(best).path, (std::vector<Asn>{2, 9}));
+  // The best external row still holds the eBGP choice.
+  EXPECT_EQ(sim.route(sim.best_external_row(m.dense(r11))).path,
             (std::vector<Asn>{3, 5, 9}));
 }
 
@@ -110,10 +111,10 @@ TEST(IbgpTest, IbgpRoutesAreNotReAdvertisedIntoTheMesh) {
   bgp::Engine engine(m, options);
   auto sim = engine.run(Prefix::for_asn(2), 2);
   for (RouterId router : {r11, r12}) {
-    const auto& rib = sim.routers[m.dense(router)].rib_in;
+    const auto rib = sim.rows(m.dense(router));
     ASSERT_EQ(rib.size(), 1u) << router.str();
-    EXPECT_TRUE(rib[0].ibgp);
-    EXPECT_EQ(rib[0].sender, m.dense(r10));
+    EXPECT_TRUE(sim.view(rib.front()).ibgp);
+    EXPECT_EQ(sim.sender(rib.front()), m.dense(r10));
     // And since it is iBGP-learned, it IS still advertised over eBGP...
     // (no eBGP peers here to check; covered below).
   }
@@ -133,10 +134,10 @@ TEST(IbgpTest, IbgpLearnedRouteExportedOverEbgp) {
   options.use_ibgp_mesh = true;
   bgp::Engine engine(m, options);
   auto sim = engine.run(Prefix::for_asn(2), 2);
-  const bgp::Route* best = sim.routers[m.dense(r4)].best_route();
-  ASSERT_NE(best, nullptr);
-  EXPECT_EQ(best->path, (std::vector<Asn>{1, 2}));
-  EXPECT_FALSE(best->ibgp);  // eBGP again from 4's perspective
+  const auto best = sim.best_row(m.dense(r4));
+  ASSERT_NE(best, bgp::PrefixSimResult::kNoRow);
+  EXPECT_EQ(sim.route(best).path, (std::vector<Asn>{1, 2}));
+  EXPECT_FALSE(sim.route(best).ibgp);  // eBGP again from 4's perspective
 }
 
 TEST(IbgpTest, MeshPreservesEqualLengthDiversity) {
@@ -164,8 +165,9 @@ TEST(IbgpTest, MeshPreservesEqualLengthDiversity) {
     auto sim = engine.run(Prefix::for_asn(9), 9);
     std::set<std::vector<Asn>> paths;
     for (RouterId router : {r6a, r6b}) {
-      const bgp::Route* best = sim.routers[m.dense(router)].best_route();
-      if (best != nullptr) paths.insert(best->path);
+      const auto best = sim.best_row(m.dense(router));
+      if (best != bgp::PrefixSimResult::kNoRow)
+        paths.insert(sim.route(best).path);
     }
     return paths.size();
   };
@@ -202,8 +204,9 @@ TEST(IbgpTest, MeshCollapsesUnequalLengthDiversity) {
     auto sim = engine.run(Prefix::for_asn(9), 9);
     std::set<std::vector<Asn>> paths;
     for (RouterId router : {r6a, r6b}) {
-      const bgp::Route* best = sim.routers[m.dense(router)].best_route();
-      if (best != nullptr) paths.insert(best->path);
+      const auto best = sim.best_row(m.dense(router));
+      if (best != bgp::PrefixSimResult::kNoRow)
+        paths.insert(sim.route(best).path);
     }
     return paths.size();
   };

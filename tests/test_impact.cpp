@@ -56,12 +56,15 @@ std::vector<std::pair<Prefix, nb::Asn>> derivable_targets(const Model& model) {
   return targets;
 }
 
-bool routes_differ(const bgp::Route* x, const bgp::Route* y) {
-  if ((x == nullptr) != (y == nullptr)) return true;
-  if (x == nullptr) return false;
-  return x->path != y->path || x->sender != y->sender ||
-         x->local_pref != y->local_pref || x->med != y->med ||
-         x->igp_cost != y->igp_cost;
+bool routes_differ(const bgp::PrefixSimResult& a,
+                   const bgp::PrefixSimResult& b, Model::Dense r) {
+  if ((a.best(r) < 0) != (b.best(r) < 0)) return true;
+  if (a.best(r) < 0) return false;
+  const bgp::Route x = a.route(a.best_row(r));
+  const bgp::Route y = b.route(b.best_row(r));
+  return x.path != y.path || x.sender != y.sender ||
+         x.local_pref != y.local_pref || x.med != y.med ||
+         x.igp_cost != y.igp_cost;
 }
 
 /// Re-simulates every targeted prefix pre- and post-edit and asserts that
@@ -93,10 +96,7 @@ std::size_t check_soundness(const Model& base, const ModelEdit& edit,
     const auto it = impact_by_prefix.find(prefix);
     for (Model::Dense r = 0; r < base.num_routers(); ++r) {
       // apply_edit never removes routers, so dense indices agree.
-      if (!routes_differ(pre.routers[r].best_route(),
-                         sim_post.routers[r].best_route())) {
-        continue;
-      }
+      if (!routes_differ(pre, sim_post, r)) continue;
       ++changed_total;
       const std::uint32_t id = base.router_id(r).value();
       const bool covered =

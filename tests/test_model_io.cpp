@@ -62,16 +62,17 @@ TEST(ModelIoTest, RoundTrippedModelSimulatesIdentically) {
   bgp::Engine a(original), b(*parsed);
   auto sim_a = a.run(Prefix::for_asn(3), 3);
   auto sim_b = b.run(Prefix::for_asn(3), 3);
-  ASSERT_EQ(sim_a.routers.size(), sim_b.routers.size());
+  ASSERT_EQ(sim_a.num_routers(), sim_b.num_routers());
   // Dense indices are an internal detail and differ after the round trip
   // (serialization is id-sorted); compare per RouterId.
-  for (std::size_t r = 0; r < sim_a.routers.size(); ++r) {
+  for (std::size_t r = 0; r < sim_a.num_routers(); ++r) {
     const RouterId id = original.router_id(static_cast<Model::Dense>(r));
-    const bgp::Route* x = sim_a.routers[r].best_route();
-    const bgp::Route* y = sim_b.routers[parsed->dense(id)].best_route();
-    ASSERT_EQ(x == nullptr, y == nullptr) << id.str();
-    if (x != nullptr) {
-      EXPECT_EQ(x->path, y->path) << id.str();
+    const auto x = sim_a.best_row(r);
+    const auto y = sim_b.best_row(parsed->dense(id));
+    ASSERT_EQ(sim_a.best(r) < 0, sim_b.best(parsed->dense(id)) < 0)
+        << id.str();
+    if (x != bgp::PrefixSimResult::kNoRow) {
+      EXPECT_EQ(sim_a.route(x).path, sim_b.route(y).path) << id.str();
     }
   }
 }

@@ -342,7 +342,7 @@ TEST(EliminationHistogramTest, AgreesWithExplainSelection) {
 
   std::array<std::uint64_t, bgp::kNumDecisionSteps> expected{};
   std::uint64_t eliminations = 0;
-  for (std::size_t r = 0; r < sim.routers.size(); ++r) {
+  for (std::size_t r = 0; r < sim.num_routers(); ++r) {
     const bgp::RouteExplanation explanation =
         bgp::explain_selection(model, sim, static_cast<Model::Dense>(r));
     for (const auto& candidate : explanation.candidates) {

@@ -37,10 +37,10 @@ TEST_P(EngineProperty, SimulatedBestPathsAreLoopFreeAndConnected) {
     auto sim = engine.run(nb::Prefix::for_asn(ases[i]), ases[i]);
     ASSERT_TRUE(sim.converged);
     for (Model::Dense r = 0; r < gt.model.num_routers(); ++r) {
-      const bgp::Route* best = sim.routers[r].best_route();
-      if (best == nullptr) continue;
+      const auto best = sim.best_row(r);
+      if (best == bgp::PrefixSimResult::kNoRow) continue;
       // Loop-free including the receiving AS.
-      topo::AsPath full{best->path};
+      topo::AsPath full{sim.route(best).path};
       full.prepend(gt.model.router_id(r).asn());
       EXPECT_FALSE(full.has_loop()) << full.str();
       // Path ends at the origin.
@@ -59,10 +59,10 @@ TEST_P(EngineProperty, RibInHoldsAtMostOneRoutePerSender) {
   bgp::Engine engine(gt.model, gt.config.engine_options());
   nb::Asn origin = internet.graph.nodes().front();
   auto sim = engine.run(nb::Prefix::for_asn(origin), origin);
-  for (const auto& state : sim.routers) {
+  for (std::uint32_t r = 0; r < sim.num_routers(); ++r) {
     std::set<std::uint32_t> senders;
-    for (const auto& entry : state.rib_in)
-      EXPECT_TRUE(senders.insert(entry.sender).second);
+    for (const bgp::PrefixSimResult::Row row : sim.rows(r))
+      EXPECT_TRUE(senders.insert(sim.sender(row)).second);
   }
 }
 

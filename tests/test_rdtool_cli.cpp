@@ -140,6 +140,14 @@ TEST_F(RdtoolCliTest, RefineContract) {
   EXPECT_EQ(run("refine --dataset " + path("no-such.dump") + " --out " +
                 path("x.model")),
             1);
+  // An --out that cannot be written is an I/O error, and the atomic write
+  // leaves neither the target nor its temp file behind.
+  const std::string unwritable = path("no-such-dir") + "/m.txt";
+  EXPECT_EQ(run("refine --dataset " + path("ds.dump") + " --out " +
+                unwritable),
+            1);
+  EXPECT_FALSE(fs::exists(unwritable));
+  EXPECT_FALSE(fs::exists(unwritable + ".tmp"));
   // A one-iteration prefix budget cannot fit the 0.05 dataset: the fit
   // completes degraded (frozen budget-exhausted prefixes), exit 3.
   int code = -1;

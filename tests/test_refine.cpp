@@ -90,13 +90,13 @@ TEST(RefineTest, PoliciesArePerPrefix) {
   auto result = core::refine_model(model, training, core::RefineConfig{});
   ASSERT_TRUE(result.success);
   auto after = engine.run(Prefix::for_asn(4), 4);
-  ASSERT_EQ(before.routers.size(), after.routers.size());
-  for (std::size_t r = 0; r < before.routers.size(); ++r) {
-    const bgp::Route* a = before.routers[r].best_route();
-    const bgp::Route* b = after.routers[r].best_route();
-    ASSERT_EQ(a == nullptr, b == nullptr);
-    if (a != nullptr) {
-      EXPECT_EQ(a->path, b->path);
+  ASSERT_EQ(before.num_routers(), after.num_routers());
+  for (std::size_t r = 0; r < before.num_routers(); ++r) {
+    const auto a = before.best_row(r);
+    const auto b = after.best_row(r);
+    ASSERT_EQ(before.best(r) < 0, after.best(r) < 0);
+    if (a != bgp::PrefixSimResult::kNoRow) {
+      EXPECT_EQ(before.route(a).path, after.route(b).path);
     }
   }
 }

@@ -119,27 +119,28 @@ TEST(ParallelEngine, PooledRunsEqualSerialRuns) {
   std::vector<bgp::PrefixSimResult> pooled(jobs.size());
   bgp::ThreadPool pool(4);
   bgp::run_jobs(engine, jobs, pool, [&](std::size_t i,
-                                        bgp::PrefixSimResult&& result) {
-    pooled[i] = std::move(result);
+                                        const bgp::PrefixSimResult& result) {
+    pooled[i] = result;
   });
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const bgp::PrefixSimResult serial =
         engine.run(jobs[i].prefix, jobs[i].origin);
-    ASSERT_EQ(serial.routers.size(), pooled[i].routers.size());
-    EXPECT_EQ(serial.messages, pooled[i].messages) << "origin " << serial.origin;
-    EXPECT_EQ(serial.converged, pooled[i].converged);
-    for (std::size_t r = 0; r < serial.routers.size(); ++r) {
-      const bgp::RouterState& a = serial.routers[r];
-      const bgp::RouterState& b = pooled[i].routers[r];
-      ASSERT_EQ(a.rib_in.size(), b.rib_in.size());
-      EXPECT_EQ(a.best, b.best);
-      EXPECT_EQ(a.best_external, b.best_external);
-      for (std::size_t e = 0; e < a.rib_in.size(); ++e) {
-        EXPECT_EQ(a.rib_in[e].sender, b.rib_in[e].sender);
-        EXPECT_EQ(a.rib_in[e].path, b.rib_in[e].path);
-        EXPECT_EQ(a.rib_in[e].med, b.rib_in[e].med);
-        EXPECT_EQ(a.rib_in[e].local_pref, b.rib_in[e].local_pref);
+    const bgp::PrefixSimResult& b = pooled[i];
+    ASSERT_EQ(serial.num_routers(), b.num_routers());
+    EXPECT_EQ(serial.messages, b.messages) << "origin " << serial.origin;
+    EXPECT_EQ(serial.converged, b.converged);
+    for (std::uint32_t r = 0; r < serial.num_routers(); ++r) {
+      ASSERT_EQ(serial.rows(r).size(), b.rows(r).size());
+      EXPECT_EQ(serial.best(r), b.best(r));
+      EXPECT_EQ(serial.best_external(r), b.best_external(r));
+      for (int e = 0; e < static_cast<int>(serial.rows(r).size()); ++e) {
+        const bgp::Route x = serial.route(serial.row(r, e));
+        const bgp::Route y = b.route(b.row(r, e));
+        EXPECT_EQ(x.sender, y.sender);
+        EXPECT_EQ(x.path, y.path);
+        EXPECT_EQ(x.med, y.med);
+        EXPECT_EQ(x.local_pref, y.local_pref);
       }
     }
   }

@@ -226,7 +226,7 @@ TEST(GuaranteedTest, GuaranteedRoutersInstallUnderFullSimulation) {
     const bgp::PrefixSimResult sim = engine.run(prefix, origin);
     ASSERT_TRUE(sim.converged);
     for (Model::Dense r = 0; r < pipeline.model.num_routers(); ++r) {
-      const bool installed = sim.routers[r].best_route() != nullptr;
+      const bool installed = sim.best(r) >= 0;
       if (guaranteed[r] != 0) {
         EXPECT_TRUE(installed)
             << prefix.str() << " " << pipeline.model.router_id(r).str()

@@ -118,12 +118,13 @@ TEST(CheckConvergenceTest, TamperedBestChoiceIsRejected) {
   Model model = Model::one_router_per_as(diamond());
   bgp::Engine engine(model);
   auto sim = engine.run(Prefix::for_asn(4), 4);
-  // Find a router with >= 2 RIB-In routes and force a non-best choice.
+  // Find a router with >= 2 RIB-In routes and force a non-best choice
+  // through the result table's own mutator.
   bool tampered = false;
-  for (auto& state : sim.routers) {
-    if (state.rib_in.size() >= 2 && state.best >= 0) {
-      state.best =
-          (state.best + 1) % static_cast<int>(state.rib_in.size());
+  for (std::uint32_t r = 0; r < sim.num_routers(); ++r) {
+    const int size = static_cast<int>(sim.rows(r).size());
+    if (size >= 2 && sim.best(r) >= 0) {
+      sim.set_best(r, (sim.best(r) + 1) % size);
       tampered = true;
       break;
     }
@@ -141,9 +142,10 @@ TEST(CheckConvergenceTest, DroppedRibInEntryIsRejected) {
   // Deleting a non-best RIB-In entry breaks the fixed point: the neighbor
   // still exports a route that the tampered state no longer holds.
   bool tampered = false;
-  for (auto& state : sim.routers) {
-    if (state.rib_in.size() >= 2 && state.best == 0) {
-      state.rib_in.pop_back();
+  for (std::uint32_t r = 0; r < sim.num_routers(); ++r) {
+    const int size = static_cast<int>(sim.rows(r).size());
+    if (size >= 2 && sim.best(r) == 0) {
+      sim.erase(r, size - 1);
       tampered = true;
       break;
     }

@@ -294,30 +294,6 @@ std::optional<topo::Model> load_model(const std::string& path) {
   return model;
 }
 
-bool write_file(const std::string& path, const std::string& contents) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "rdtool: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << contents;
-  return true;
-}
-
-/// write_file through a sibling temp file + rename (nb::write_file_atomic),
-/// so the target path never holds a partial document -- even when the
-/// process dies mid-write (the second-SIGINT-during-flush case
-/// observability artifacts care about: a truncated trace is unloadable, no
-/// trace is just absent).
-bool write_file_atomic(const std::string& path, const std::string& contents) {
-  std::string error;
-  if (!nb::write_file_atomic(path, contents, &error)) {
-    std::fprintf(stderr, "rdtool: %s\n", error.c_str());
-    return false;
-  }
-  return true;
-}
-
 /// Shared --trace / --metrics / --trace-level plumbing for refine, predict
 /// and audit.  Owns the optional sinks and writes the artifacts at the end
 /// of the command; when neither flag is given nothing is constructed and
@@ -403,7 +379,12 @@ int cmd_generate(const nb::Cli& cli) {
   core::run_data_stages(pipeline);
   const data::BgpDataset& dataset =
       cli.get_bool("raw") ? pipeline.raw_dataset : pipeline.dataset;
-  if (!write_file(out_path, data::dataset_to_string(dataset))) return 1;
+  std::string error;
+  if (!nb::write_file_atomic(out_path, data::dataset_to_string(dataset),
+                             &error)) {
+    std::fprintf(stderr, "rdtool: %s\n", error.c_str());
+    return 1;
+  }
   std::printf("wrote %zu records from %zu feeds to %s\n",
               dataset.records.size(), dataset.points.size(),
               out_path.c_str());
@@ -414,7 +395,10 @@ int cmd_generate(const nb::Cli& cli) {
     std::ostringstream model_text;
     topo::write_model(model_text, pipeline.ground_truth.model);
     const std::string model_out = cli.get_string("model-out", "");
-    if (!write_file(model_out, model_text.str())) return 1;
+    if (!nb::write_file_atomic(model_out, model_text.str(), &error)) {
+      std::fprintf(stderr, "rdtool: %s\n", error.c_str());
+      return 1;
+    }
     std::printf("wrote ground-truth model (%zu routers) to %s\n",
                 pipeline.ground_truth.model.num_routers(), model_out.c_str());
   }
@@ -429,7 +413,10 @@ int cmd_generate(const nb::Cli& cli) {
     std::ostringstream out;
     data::write_updates(out, stream);
     const std::string updates_path = cli.get_string("updates-out", "");
-    if (!write_file(updates_path, out.str())) return 1;
+    if (!nb::write_file_atomic(updates_path, out.str(), &error)) {
+      std::fprintf(stderr, "rdtool: %s\n", error.c_str());
+      return 1;
+    }
     std::printf("wrote %zu events / %zu updates to %s\n",
                 stream.events.size(), stream.updates.size(),
                 updates_path.c_str());
@@ -601,8 +588,12 @@ int cmd_refine(const nb::Cli& cli) {
   // An interrupted fit leaves no --out model: the partial state lives in
   // the checkpoint, and a half-refined model file would be easy to mistake
   // for a finished one.
-  if (!interrupted && !write_file(out_path, topo::model_to_string(model)))
+  std::string error;
+  if (!interrupted &&
+      !nb::write_file_atomic(out_path, topo::model_to_string(model), &error)) {
+    std::fprintf(stderr, "rdtool: %s\n", error.c_str());
     return 1;
+  }
   if (!obs_flushed) return 1;
   if (cli.get_bool("json")) {
     // Single JSON object on stdout; the model still lands in --out.
@@ -1602,8 +1593,9 @@ int cmd_serve(const nb::Cli& cli) {
   // CI and scripts pass --port 0 (ephemeral) plus --port-file to learn the
   // kernel's pick without a race.
   if (cli.has("port-file") &&
-      !write_file(cli.get_string("port-file", ""),
-                  std::to_string(server.port()) + "\n")) {
+      !nb::write_file_atomic(cli.get_string("port-file", ""),
+                             std::to_string(server.port()) + "\n", &error)) {
+    std::fprintf(stderr, "rdtool: %s\n", error.c_str());
     return 1;
   }
   std::fprintf(stderr,
