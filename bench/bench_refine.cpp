@@ -43,11 +43,6 @@
 // recorder) -- best-of-3 each, asserts the two fitted models are
 // byte-identical, and gates profiled/bare <= --observer-overhead-max
 // (default 1.05, the CI perf-smoke gate) at scales above the noise floor.
-// The profiled run's per-prefix sweep samples (a profile "shard" is one
-// prefix) also score the static cost model: the Spearman rank correlation
-// of predicted cost vs measured wall-clock must be positive whenever
-// enough samples exist (a planner only needs the ORDER of loads to be
-// right).
 //
 //   bench_refine [--scales=0.05,0.1,0.2] [--seed=1] [--threads=0]
 //                [--out=BENCH_refine.json] [--baseline=FILE]
@@ -85,7 +80,6 @@
 #include "netbase/sysinfo.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/observer.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "topology/model_io.hpp"
 
@@ -237,16 +231,14 @@ RunResult run_once(double scale, std::uint64_t seed, unsigned threads) {
 /// observability stack -- metric registry, kIteration trace sink and a
 /// flight recorder -- exactly like `rdtool refine --trace`; bare runs
 /// attach nothing, so they exercise the zero-observer path the overhead
-/// ratio is measured against.  The per-prefix profiler samples from the
-/// profiled fit come back via `samples` for the cost-model score.
+/// ratio is measured against.
 struct OverheadRun {
   double seconds = 0;
   std::string model_text;
 };
 
 OverheadRun run_overhead_leg(double scale, std::uint64_t seed,
-                             unsigned threads, bool profiled,
-                             std::vector<obs::SweepShardSample>* samples) {
+                             unsigned threads, bool profiled) {
   core::PipelineConfig config = core::PipelineConfig::with(scale, seed);
   config.threads = threads;
   config.refine.threads = threads;
@@ -259,19 +251,16 @@ OverheadRun run_overhead_leg(double scale, std::uint64_t seed,
   obs::Observer observer;
   observer.registry = &registry;
   observer.trace = &trace;
-  obs::FlightRecorder flight(2 + bgp::ThreadPool::resolve(threads));
+  obs::FlightRecorder flight(1 + bgp::ThreadPool::resolve(threads));
   if (profiled) {
     config.refine.observer = &observer;
     config.refine.flight_recorder = &flight;
   }
   const auto start = std::chrono::steady_clock::now();
-  core::RefineResult refine =
-      core::refine_model(model, pipeline.split.training, config.refine);
+  core::refine_model(model, pipeline.split.training, config.refine);
   OverheadRun run;
   run.seconds = seconds_since(start);
   run.model_text = topo::model_to_string(model);
-  if (profiled && samples != nullptr)
-    *samples = std::move(refine.shard_samples);
   return run;
 }
 
@@ -546,10 +535,9 @@ int main(int argc, char** argv) {
     double best_one = std::numeric_limits<double>::infinity();
     double best_multi = best_one;
     for (int rep = 0; rep < 3; ++rep) {
-      const double one =
-          run_overhead_leg(run.scale, seed, 1, false, nullptr).seconds;
+      const double one = run_overhead_leg(run.scale, seed, 1, false).seconds;
       const double many =
-          run_overhead_leg(run.scale, seed, multi, false, nullptr).seconds;
+          run_overhead_leg(run.scale, seed, multi, false).seconds;
       best_one = std::min(best_one, one);
       best_multi = std::min(best_multi, many);
     }
@@ -604,26 +592,19 @@ int main(int argc, char** argv) {
   // profiler stack must not perturb the fit.
   bool overhead_pass = true;
   double overhead_ratio = 0;
-  double shard_rank = std::numeric_limits<double>::quiet_NaN();
-  std::size_t shard_sample_count = 0;
   const double overhead_max = cli.get_double("observer-overhead-max", 1.05);
   if (!cli.has("skip-overhead") && !scales.empty()) {
     const double gate_scale = *std::max_element(scales.begin(), scales.end());
     double best_bare = std::numeric_limits<double>::infinity();
     double best_profiled = std::numeric_limits<double>::infinity();
     std::string bare_model, profiled_model;
-    std::vector<obs::SweepShardSample> samples;
     for (int rep = 0; rep < 3; ++rep) {
-      OverheadRun bare =
-          run_overhead_leg(gate_scale, seed, multi, false, nullptr);
-      std::vector<obs::SweepShardSample> rep_samples;
-      OverheadRun profiled =
-          run_overhead_leg(gate_scale, seed, multi, true, &rep_samples);
+      OverheadRun bare = run_overhead_leg(gate_scale, seed, multi, false);
+      OverheadRun profiled = run_overhead_leg(gate_scale, seed, multi, true);
       if (bare.seconds < best_bare) best_bare = bare.seconds;
       if (profiled.seconds < best_profiled) best_profiled = profiled.seconds;
       bare_model = std::move(bare.model_text);
       profiled_model = std::move(profiled.model_text);
-      if (rep_samples.size() > samples.size()) samples = std::move(rep_samples);
     }
     if (bare_model != profiled_model) {
       identical = false;
@@ -645,32 +626,6 @@ int main(int argc, char** argv) {
                    "scale %.3f\n",
                    overhead_ratio, overhead_max, gate_scale);
     }
-    // Cost-model score over the profiled fit's shard samples.  NaN (too
-    // few samples, or a single-shard plan making one side constant) is
-    // reported but not gated -- there is nothing to rank.
-    shard_sample_count = samples.size();
-    std::vector<double> predicted, measured;
-    predicted.reserve(samples.size());
-    measured.reserve(samples.size());
-    for (const obs::SweepShardSample& sample : samples) {
-      predicted.push_back(static_cast<double>(sample.predicted_cost));
-      measured.push_back(static_cast<double>(sample.dur_us));
-    }
-    shard_rank = obs::rank_correlation(predicted, measured);
-    if (!std::isnan(shard_rank)) {
-      std::printf("shard cost model: rank r=%.3f over %zu shard samples\n",
-                  shard_rank, samples.size());
-      if (gate_scale >= 0.15 && shard_rank <= 0) {
-        overhead_pass = false;
-        std::fprintf(stderr,
-                     "bench_refine: SHARD COST MODEL UNCORRELATED with "
-                     "measured shard time (rank r=%.3f over %zu samples)\n",
-                     shard_rank, samples.size());
-      }
-    } else {
-      std::printf("shard cost model: not scored (%zu shard samples)\n",
-                  samples.size());
-    }
   }
 
   nb::JsonWriter json(2);
@@ -681,14 +636,6 @@ int main(int argc, char** argv) {
   json.key("identical_across_threads").value(identical);
   json.key("observer_overhead_ratio").value_fixed(overhead_ratio, 3);
   json.key("observer_overhead_max").value_fixed(overhead_max, 3);
-  json.key("shard_rank_correlation");
-  if (std::isnan(shard_rank)) {
-    json.raw("null");
-  } else {
-    json.value_fixed(shard_rank, 3);
-  }
-  json.key("shard_samples")
-      .value(static_cast<std::uint64_t>(shard_sample_count));
   json.key("cost_correlation").value_fixed(cost_correlation, 3);
   json.key("cost_samples")
       .value(static_cast<std::uint64_t>(pooled_costs.size()));

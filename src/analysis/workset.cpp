@@ -22,8 +22,10 @@ void close_under_as_mates(const Model& model, std::vector<char>& members) {
   }
 }
 
-}  // namespace
-
+/// The relaxed cost model's per-edge term: the per-router enumeration cap
+/// attenuated by the edge's export-filter threshold (a deny-below-d filter
+/// passes only lengths >= d of the plausible 1..max_path_length, kDenyAll
+/// passes none; 0 is no filter).
 std::uint64_t relaxed_edge_cost(std::uint32_t deny_below_len,
                                 const RouteSpaceOptions& space) {
   const std::uint64_t max_len =
@@ -33,13 +35,7 @@ std::uint64_t relaxed_edge_cost(std::uint32_t deny_below_len,
   return space.max_paths_per_router * (max_len - denied) / max_len;
 }
 
-std::uint64_t view_cost(const bgp::PrefixView& view,
-                        const RouteSpaceOptions& space) {
-  std::uint64_t bounded = 0;
-  for (const bgp::PrefixView::Edge& edge : view.edges)
-    bounded += relaxed_edge_cost(edge.deny_below_len, space);
-  return static_cast<std::uint64_t>(view.size()) * bounded;
-}
+}  // namespace
 
 PrefixWorkset compute_working_set(const bgp::Engine& engine,
                                   const nb::Prefix& prefix, nb::Asn origin,

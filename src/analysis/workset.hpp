@@ -4,11 +4,10 @@
 //
 // Working sets are an analysis, not a simulation input: the engine always
 // simulates the whole model (Engine::identity_view), and these sets back
-// `rdtool plan`, the shard planner and the profiler's predicted per-prefix
-// cost (view_cost).  On fitted models the relaxed bound keeps every router
-// -- refinement only writes deny-below-length filters, and the relaxed BFS
-// only cuts kDenyAll edges -- so a view restricted to it would simulate
-// the same routers anyway.
+// `rdtool plan` and the shard planner.  On fitted models the relaxed bound
+// keeps every router -- refinement only writes deny-below-length filters,
+// and the relaxed BFS only cuts kDenyAll edges -- so a view restricted to
+// it would simulate the same routers anyway.
 //
 // Soundness argument.  Engine::run activates (pops off the dirty queue)
 // exactly: the origin's routers, and routers whose route selection changed
@@ -82,22 +81,6 @@ struct PrefixWorkset {
 
   bool contains(topo::Model::Dense r) const { return members[r] != 0; }
 };
-
-/// The relaxed cost model's per-edge term: the per-router enumeration cap
-/// attenuated by the edge's export-filter threshold (a deny-below-d filter
-/// passes only lengths >= d of the plausible 1..max_path_length, kDenyAll
-/// passes none; 0 is no filter).
-std::uint64_t relaxed_edge_cost(std::uint32_t deny_below_len,
-                                const RouteSpaceOptions& space);
-
-/// The relaxed cost formula evaluated on a simulation view: routers x the
-/// sum of relaxed_edge_cost over its edges.  kDenyAll edges price 0, so
-/// whenever the relaxed bound keeps every router (any connected model
-/// without kDenyAll cuts, e.g. every fitted model) this equals
-/// compute_working_set(exact = false).cost -- the refinement sweep's
-/// predicted per-prefix cost without recomputing the working set.
-std::uint64_t view_cost(const bgp::PrefixView& view,
-                        const RouteSpaceOptions& space = {});
 
 /// Computes the working set of (prefix, origin) against the engine's model
 /// and options.  `diags`, when non-null, receives one A820 warning per

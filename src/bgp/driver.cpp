@@ -21,8 +21,8 @@ void run_jobs(
   // construct it behind the engine's context lock.
   engine.context();
   std::mutex consume_mutex;
-  std::vector<SimMemory> memory(pool.shard_count());
-  std::vector<PrefixSimResult> results(pool.shard_count());
+  std::vector<SimMemory> memory(pool.size());
+  std::vector<PrefixSimResult> results(pool.size());
   pool.parallel_for_worker(jobs.size(), [&](unsigned worker, std::size_t i) {
     engine.run_into(engine.identity_view(jobs[i].prefix, jobs[i].origin),
                     memory[worker], nullptr, nullptr, results[worker]);

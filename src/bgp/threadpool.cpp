@@ -12,7 +12,7 @@ namespace {
 // detect nested parallel_for calls that would deadlock.
 thread_local const ThreadPool* tls_running_pool = nullptr;
 // The executing thread's slot for parallel_for_worker: workers are
-// 0..size()-1 (set once at thread start), the calling thread size()
+// 0..size()-2 (set once at thread start), the calling thread size()-1
 // (set per batch in parallel_for, restored after for nested pools).
 thread_local unsigned tls_worker_slot = 0;
 }  // namespace
@@ -24,11 +24,11 @@ unsigned ThreadPool::resolve(unsigned threads) {
 }
 
 ThreadPool::ThreadPool(unsigned threads) {
+  // The calling thread runs bodies too, so N threads need N - 1 workers;
+  // with one thread every batch runs inline.
   threads = resolve(threads);
-  // With one thread we run inline; no workers needed.
-  if (threads == 1) return;
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i)
+  workers_.reserve(threads - 1);
+  for (unsigned i = 0; i + 1 < threads; ++i)
     workers_.emplace_back([this, i] {
       tls_worker_slot = i;
       worker_loop();

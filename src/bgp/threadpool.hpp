@@ -33,7 +33,11 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
+  /// Number of distinct threads parallel_for runs bodies on: the spawned
+  /// workers plus the calling thread, which joins every batch.  A pool
+  /// built for N threads spawns N - 1 workers, so size() == N.  Sizes
+  /// per-slot state such as obs::ShardGroup.
+  unsigned size() const { return static_cast<unsigned>(workers_.size()) + 1; }
 
   /// The worker count `threads` resolves to (nb::resolve_threads: 0 ->
   /// hardware_concurrency, min 1, clamped to nb::kMaxResolvedThreads).
@@ -47,16 +51,9 @@ class ThreadPool {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 
-  /// Number of distinct threads parallel_for can run bodies on: the workers
-  /// plus the calling thread (1 for the inline single-thread pool).  Sizes
-  /// per-worker state such as obs::ShardGroup.
-  unsigned shard_count() const {
-    return workers_.empty() ? 1 : static_cast<unsigned>(workers_.size()) + 1;
-  }
-
   /// parallel_for that also hands the body the stable slot index of the
-  /// executing thread (always < shard_count(); workers are 0..size()-1, the
-  /// calling thread is size()).  A slot is owned by exactly one thread for
+  /// executing thread (always < size(); workers are 0..size()-2, the
+  /// calling thread is size()-1).  A slot is owned by exactly one thread for
   /// the whole batch, so bodies may write slot-indexed state -- e.g. an
   /// obs::Shard -- without synchronization; the batch barrier orders those
   /// writes before anything the caller does after parallel_for_worker

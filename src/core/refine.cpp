@@ -15,7 +15,6 @@
 #include "analysis/dispute_graph.hpp"
 #include "analysis/policy_audit.hpp"
 #include "analysis/validate_model.hpp"
-#include "analysis/workset.hpp"
 #include "bgp/sim_memory.hpp"
 #include "bgp/threadpool.hpp"
 #include "core/fault_inject.hpp"
@@ -496,7 +495,7 @@ RefineResult refine_model(topo::Model& model,
   bgp::Engine engine(model, config.engine);  // default: policy-agnostic
   Refiner refiner(model, config);
   bgp::ThreadPool pool(config.threads);
-  result.threads_used = pool.size() == 0 ? 1 : pool.size();
+  result.threads_used = pool.size();
 
   for (PrefixWork& w : work) {
     w.detector =
@@ -694,29 +693,24 @@ RefineResult refine_model(topo::Model& model,
   // Perfetto should label them.
   if (sweep_trace) {
     trace->name_thread(0, "refine");
-    for (unsigned worker = 0; worker < pool.shard_count(); ++worker)
+    for (unsigned worker = 0; worker < pool.size(); ++worker)
       trace->name_thread(1000 + worker,
                          "sim-worker-" + std::to_string(worker));
   }
   // Per simulated prefix of an instrumented sweep: which worker ran it, its
-  // span on the sweep clock, the bytes its simulation held (worker scratch
-  // plus result table) when it finished, and its predicted cost.
+  // span on the sweep clock, and the bytes its simulation held (worker
+  // scratch plus result table) when it finished.
   struct ItemRec {
     unsigned worker = 0;
     std::uint64_t start_us = 0;
     std::uint64_t dur_us = 0;
     std::uint64_t arena_bytes = 0;
-    std::uint64_t predicted_cost = 0;
   };
 
-  // Each prefix simulates over its identity view, the whole model (DESIGN.md
-  // section 12).  The profiler prices each prefix with the planner's
-  // relaxed cost model at its default caps (analysis::view_cost).
-  const analysis::RouteSpaceOptions cost_space;
   // One simulation scratch per pool slot: parallel_for_worker guarantees a
   // slot is owned by one thread per batch, so sweeps reuse these buffers
   // across prefixes and iterations with no per-message heap traffic.
-  std::vector<bgp::SimMemory> sim_memory(pool.shard_count());
+  std::vector<bgp::SimMemory> sim_memory(pool.size());
 
   std::size_t routers_added_prev = refiner.routers_added;
   std::size_t policies_changed_prev = refiner.policies_changed;
@@ -771,7 +765,7 @@ RefineResult refine_model(topo::Model& model,
       // worker order when the group leaves scope (after the pool barrier),
       // so totals are deterministic for every thread count.
       std::optional<obs::ShardGroup> shards;
-      if (reg != nullptr) shards.emplace(*reg, pool.shard_count());
+      if (reg != nullptr) shards.emplace(*reg, pool.size());
       // Observers, the flight recorder and the fault hook are null-or-real
       // sinks inside run_item; results land in per-prefix slots and the
       // apply phase stays serial, so the fitted model is byte-identical at
@@ -781,13 +775,12 @@ RefineResult refine_model(topo::Model& model,
         const PrefixWork& w = work[active_index[i]];
         bgp::SimMemory& mem = sim_memory[worker];
         const std::uint64_t t0 = counting ? sweep_now_us() : 0;
-        const bgp::PrefixView view = engine.identity_view(w.prefix, w.origin);
-        const std::uint64_t predicted =
-            counting ? analysis::view_cost(view, cost_space) : 0;
         if (flight != nullptr)
           flight->record(1 + worker, obs::FlightEventType::kShardStart,
-                         iteration, i, predicted);
-        engine.run_into(view, mem,
+                         iteration, i);
+        // Each prefix simulates over its identity view, the whole model
+        // (DESIGN.md section 12).
+        engine.run_into(engine.identity_view(w.prefix, w.origin), mem,
                         counting ? &sim_counters[i] : nullptr, nullptr,
                         sims[i]);
         const std::uint64_t arena =
@@ -796,8 +789,7 @@ RefineResult refine_model(topo::Model& model,
           flight->record(1 + worker, obs::FlightEventType::kShardEnd,
                          iteration, i, arena);
         if (!counting) return;
-        item_recs[i] =
-            ItemRec{worker, t0, sweep_now_us() - t0, arena, predicted};
+        item_recs[i] = ItemRec{worker, t0, sweep_now_us() - t0, arena};
         if (shards.has_value()) {
           obs::Shard& shard = shards->shard(worker);
           const bgp::SimCounters& c = sim_counters[i];
@@ -848,7 +840,6 @@ RefineResult refine_model(topo::Model& model,
         sample.iteration = iteration;
         sample.shard = i;
         sample.worker = rec.worker;
-        sample.predicted_cost = rec.predicted_cost;
         sample.start_us = rec.start_us;
         sample.dur_us = rec.dur_us;
         sample.messages = sim_counters[i].messages;
@@ -863,7 +854,6 @@ RefineResult refine_model(topo::Model& model,
           args.begin_object();
           args.key("iteration").value(static_cast<std::uint64_t>(iteration));
           args.key("shard").value(static_cast<std::uint64_t>(i));
-          args.key("predicted_cost").value(sample.predicted_cost);
           args.key("prefixes")
               .value(static_cast<std::uint64_t>(sample.prefixes));
           args.key("messages").value(sample.messages);

@@ -22,7 +22,7 @@ PayloadKeys payload_keys(FlightEventType type) {
     case FlightEventType::kIterationStart:
       return {"iteration", "active", nullptr};
     case FlightEventType::kShardStart:
-      return {"iteration", "shard", "predicted_cost"};
+      return {"iteration", "shard", nullptr};
     case FlightEventType::kShardEnd:
       return {"iteration", "shard", "arena_bytes"};
     case FlightEventType::kPrefixFrozen:

@@ -32,8 +32,7 @@ namespace obs {
 
 enum class FlightEventType : std::uint8_t {
   kIterationStart,  // a=iteration, b=active prefixes
-  kShardStart,      // a=iteration, b=shard (one prefix), c=predicted cost
-                    // (0 unless the sweep is instrumented)
+  kShardStart,      // a=iteration, b=shard (one prefix)
   kShardEnd,        // a=iteration, b=shard (one prefix), c=arena bytes
                     // (high-water)
   kPrefixFrozen,    // a=iteration, b=origin, c=PrefixOutcome as int
@@ -72,7 +71,7 @@ class FlightRecorder {
 
   /// `tracks` single-writer rings of `capacity` events each.  Convention
   /// (refine_model): track 0 is the serial loop, track 1 + w is sweep
-  /// worker w, so callers size it 2 + worker count.
+  /// slot w, so callers size it 1 + thread count (ThreadPool::size()).
   explicit FlightRecorder(unsigned tracks,
                           std::size_t capacity = kDefaultCapacity);
 

@@ -1,65 +1,9 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <map>
-#include <numeric>
 
 namespace obs {
-
-namespace {
-
-/// Average ranks (1-based; ties share the mean of their rank run).
-std::vector<double> average_ranks(const std::vector<double>& values) {
-  const std::size_t n = values.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return values[a] < values[b];
-  });
-  std::vector<double> ranks(n, 0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && values[order[j + 1]] == values[order[i]]) ++j;
-    const double rank = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = rank;
-    i = j + 1;
-  }
-  return ranks;
-}
-
-double pearson(const std::vector<double>& x, const std::vector<double>& y) {
-  const std::size_t n = x.size();
-  double mx = 0, my = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mx += x[i];
-    my += y[i];
-  }
-  mx /= static_cast<double>(n);
-  my /= static_cast<double>(n);
-  double sxy = 0, sxx = 0, syy = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx <= 0 || syy <= 0)
-    return std::numeric_limits<double>::quiet_NaN();
-  return sxy / std::sqrt(sxx * syy);
-}
-
-}  // namespace
-
-double rank_correlation(const std::vector<double>& x,
-                        const std::vector<double>& y) {
-  if (x.size() != y.size() || x.size() < 2)
-    return std::numeric_limits<double>::quiet_NaN();
-  return pearson(average_ranks(x), average_ranks(y));
-}
 
 SweepProfile profile_sweep(const std::vector<SweepShardSample>& samples,
                            const std::vector<SweepIterationSpan>& sweeps,
@@ -126,15 +70,6 @@ SweepProfile profile_sweep(const std::vector<SweepShardSample>& samples,
         (profile.serial_seconds + profile.busy_seconds) /
         profile.total_seconds;
   }
-
-  std::vector<double> predicted, measured;
-  predicted.reserve(samples.size());
-  measured.reserve(samples.size());
-  for (const SweepShardSample& s : samples) {
-    predicted.push_back(static_cast<double>(s.predicted_cost));
-    measured.push_back(static_cast<double>(s.dur_us));
-  }
-  profile.cost_rank_correlation = rank_correlation(predicted, measured);
   return profile;
 }
 

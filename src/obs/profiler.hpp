@@ -3,12 +3,10 @@
 //
 // The instrumented sweep (core/refine) measures one SweepShardSample per
 // simulated prefix -- a "shard" is one prefix -- recording which worker ran
-// it, how long it took, how many messages it processed, the bytes its
-// simulation held, and its PREDICTED cost from the static relaxed cost
-// model (analysis::view_cost over the view the sweep simulated).  Each
-// iteration's simulate phase span is the parallel section those samples
-// ran inside.  profile_sweep() folds the two into a speedup-loss
-// attribution:
+// it, how long it took, how many messages it processed and the bytes its
+// simulation held.  Each iteration's simulate phase span is the parallel
+// section those samples ran inside.  profile_sweep() folds the two into a
+// speedup-loss attribution:
 //
 //   total = parallel + serial            (serial: heuristic/validate/apply)
 //   parallel splits, per iteration, into
@@ -18,13 +16,6 @@
 //                                          time inside the simulate span
 //                                          covered by no sample)
 //   and per worker into busy (its sample spans) vs idle (span - busy).
-//
-// Cost-model accuracy is scored as the Spearman rank correlation of
-// predicted vs measured cost over every sample: a planner only needs the
-// ORDER of loads to balance them, so rank correlation --
-// not Pearson -- is the right score, and a value <= 0 means the static
-// model is no better than random for scheduling (the CI perf-smoke job
-// gates it > 0).
 #pragma once
 
 #include <cstdint>
@@ -40,8 +31,6 @@ struct SweepShardSample {
   std::size_t iteration = 0;
   std::size_t shard = 0;
   unsigned worker = 0;
-  /// Static relaxed cost (analysis::view_cost) of this shard's prefix.
-  std::uint64_t predicted_cost = 0;
   std::uint64_t start_us = 0;
   std::uint64_t dur_us = 0;
   std::uint64_t messages = 0;
@@ -84,17 +73,8 @@ struct SweepProfile {
   /// (serial + busy) / total: the speedup actually realized against the
   /// hypothetical 1-worker run that does the same work back to back.
   double measured_speedup = 1;
-  /// Spearman rank correlation of predicted_cost vs dur_us over every
-  /// sample; NaN when fewer than 2 samples or either side is constant.
-  double cost_rank_correlation = 0;
   std::vector<WorkerLane> lanes;  // ascending worker id
 };
-
-/// Spearman rank correlation (average ranks on ties, Pearson over the
-/// ranks).  NaN when the sizes differ, fewer than 2 points, or either side
-/// is constant.
-double rank_correlation(const std::vector<double>& x,
-                        const std::vector<double>& y);
 
 /// Folds samples + sweep spans into the attribution above.  `total_seconds`
 /// is the whole fit's wall clock (refine phase span); pass 0 to use the

@@ -49,45 +49,39 @@ RouterId Model::duplicate_router(RouterId src, bool copy_policies) {
       it != default_rankings_.end()) {
     default_rankings_[copy.value()] = it->second;
   }
+  // Every rule naming src sits on one of src's sessions (lint reports any
+  // other as dangling), so src's peer list is the index: probe it instead
+  // of scanning each prefix's containers.
+  // Copies map[from] to map[to] when present and returns the copy; the
+  // value is read out first because the insert may rehash.
+  const auto copy_entry = [](auto& map, auto from, auto to) {
+    auto it = map.find(from);
+    if (it == map.end()) return decltype(&it->second){nullptr};
+    auto value = it->second;
+    return &(map[to] = value);
+  };
   for (auto& [prefix, policy] : prefix_policies_) {
-    // Export-allow leaks involving src replicate to the copy.
-    std::vector<std::uint64_t> allow_add;
-    for (std::uint64_t key : policy.export_allows) {
-      RouterId from = RouterId::from_value(static_cast<std::uint32_t>(key >> 32));
-      RouterId to = RouterId::from_value(static_cast<std::uint32_t>(key));
-      if (to == src) allow_add.push_back(session_key(from, copy));
-      if (from == src) allow_add.push_back(session_key(copy, to));
+    for (Dense peer_dense : routers_[src_dense].peers) {
+      const RouterId peer = routers_[peer_dense].id;
+      // Import-side filters: session peer -> src becomes peer -> copy,
+      // owned by the copy (they exist to preserve its RIB-In; the
+      // refinement pass that triggered the duplication overwrites them as
+      // needed).
+      if (ExportFilter* in = copy_entry(policy.filters, session_key(peer, src),
+                                        session_key(peer, copy)))
+        in->owner_target = copy;
+      // Export-side behaviour is also part of "same policies".
+      copy_entry(policy.filters, session_key(src, peer),
+                 session_key(copy, peer));
+      copy_entry(policy.lp_overrides, router_asn_key(src, peer.asn()),
+                 router_asn_key(copy, peer.asn()));
+      // Export-allow leaks involving src replicate to the copy.
+      if (policy.export_allows.count(session_key(peer, src)) != 0)
+        policy.export_allows.insert(session_key(peer, copy));
+      if (policy.export_allows.count(session_key(src, peer)) != 0)
+        policy.export_allows.insert(session_key(copy, peer));
     }
-    for (std::uint64_t key : allow_add) policy.export_allows.insert(key);
-    // Import-side filters: sessions peer -> src become peer -> copy, owned by
-    // the copy (they exist to preserve its RIB-In; the refinement pass that
-    // triggered the duplication overwrites them as needed).
-    std::vector<std::pair<std::uint64_t, ExportFilter>> to_add;
-    for (auto& [key, filter] : policy.filters) {
-      RouterId from = RouterId::from_value(static_cast<std::uint32_t>(key >> 32));
-      RouterId to = RouterId::from_value(static_cast<std::uint32_t>(key));
-      if (to == src) {
-        ExportFilter copied = filter;
-        copied.owner_target = copy;
-        to_add.emplace_back(session_key(from, copy), copied);
-      } else if (from == src) {
-        // Export-side behaviour is also part of "same policies".
-        to_add.emplace_back(session_key(copy, to), filter);
-      }
-    }
-    for (auto& [key, filter] : to_add) policy.filters[key] = filter;
-    auto rank = policy.rankings.find(src.value());
-    if (rank != policy.rankings.end())
-      policy.rankings[copy.value()] = rank->second;
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> lp_add;
-    for (auto& [key, lp] : policy.lp_overrides) {
-      RouterId router = RouterId::from_value(static_cast<std::uint32_t>(key >> 32));
-      if (router == src) {
-        Asn neighbor = static_cast<Asn>(key & 0xffffffffu);
-        lp_add.emplace_back(router_asn_key(copy, neighbor), lp);
-      }
-    }
-    for (auto& [key, lp] : lp_add) policy.lp_overrides[key] = lp;
+    copy_entry(policy.rankings, src.value(), copy.value());
   }
   return copy;
 }
@@ -272,12 +266,13 @@ void Model::clear_owned_rules(const Prefix& prefix, RouterId target) {
   auto policy_it = prefix_policies_.find(prefix);
   if (policy_it == prefix_policies_.end()) return;
   auto& policy = policy_it->second;
-  for (auto it = policy.filters.begin(); it != policy.filters.end();) {
-    RouterId to = RouterId::from_value(static_cast<std::uint32_t>(it->first));
-    if (to == target && it->second.owner_target == target) {
-      it = policy.filters.erase(it);
-    } else {
-      ++it;
+  // Filters protecting target sit on its import sessions: probe those.
+  if (auto it = dense_.find(target.value()); it != dense_.end()) {
+    for (Dense peer : routers_[it->second].peers) {
+      auto filter = policy.filters.find(session_key(routers_[peer].id, target));
+      if (filter != policy.filters.end() &&
+          filter->second.owner_target == target)
+        policy.filters.erase(filter);
     }
   }
   policy.rankings.erase(target.value());

@@ -50,6 +50,9 @@ class Model {
   /// filters and rankings are copied verbatim.  This guarantees the duplicate
   /// receives the same routes as src (paper Section 4.6: "the new
   /// quasi-router has the same neighbors and policies as the copied one").
+  /// Costs O(prefixes x degree(src)): the per-prefix rules are found by
+  /// probing src's sessions, which relies on every rule sitting on a live
+  /// session -- a rule that lint reports as dangling is not copied.
   RouterId duplicate_router(RouterId src, bool copy_policies = true);
 
   /// Establishes a (bidirectional) eBGP session; no-op if present.
@@ -133,7 +136,10 @@ class Model {
   void set_export_allow(RouterId from, RouterId to, const Prefix& prefix);
 
   /// Removes all rules owned by / attached to `target` for `prefix`
-  /// (import-side filters owned by it and its ranking rule).
+  /// (import-side filters owned by it and its ranking rule).  Costs
+  /// O(degree(target)): only filters on target's live import sessions are
+  /// probed (a dangling filter is left alone); an unknown target clears
+  /// nothing but its ranking.
   void clear_owned_rules(const Prefix& prefix, RouterId target);
 
   /// Policy overlay for a prefix (nullptr if none).

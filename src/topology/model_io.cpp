@@ -172,18 +172,18 @@ bool parse_into(std::istream& in, Model& model, std::string* error) {
         return fail(error, "router indices must be dense per AS",
                     line_number);
     } else if (directive == "session") {
-      auto a = fields.size() == 3 ? parse_router(fields[1]) : std::nullopt;
-      auto b = fields.size() == 3 ? parse_router(fields[2]) : std::nullopt;
+      if (fields.size() != 3)
+        return fail(error, "malformed session", line_number);
+      auto a = parse_router(fields[1]);
+      auto b = parse_router(fields[2]);
       if (!a || !b || !model.has_router(*a) || !model.has_router(*b))
         return fail(error, "malformed session", line_number);
       model.add_session(*a, *b);
     } else if (directive == "igp") {
-      auto receiver = fields.size() == 4 ? parse_router(fields[1])
-                                         : std::nullopt;
-      auto sender = fields.size() == 4 ? parse_router(fields[2])
-                                       : std::nullopt;
-      auto cost = fields.size() == 4 ? nb::parse_u64(fields[3])
-                                     : std::nullopt;
+      if (fields.size() != 4) return fail(error, "malformed igp", line_number);
+      auto receiver = parse_router(fields[1]);
+      auto sender = parse_router(fields[2]);
+      auto cost = nb::parse_u64(fields[3]);
       if (!receiver || !sender || !cost || !model.has_router(*receiver) ||
           !model.has_router(*sender))
         return fail(error, "malformed igp", line_number);
@@ -192,10 +192,11 @@ bool parse_into(std::istream& in, Model& model, std::string* error) {
       model.set_igp_cost(*receiver, *sender,
                          static_cast<std::uint32_t>(*cost));
     } else if (directive == "class") {
-      auto of = fields.size() == 4 ? nb::parse_u64(fields[1]) : std::nullopt;
-      auto neighbor =
-          fields.size() == 4 ? nb::parse_u64(fields[2]) : std::nullopt;
-      auto cls = fields.size() == 4 ? class_from(fields[3]) : std::nullopt;
+      if (fields.size() != 4)
+        return fail(error, "malformed class", line_number);
+      auto of = nb::parse_u64(fields[1]);
+      auto neighbor = nb::parse_u64(fields[2]);
+      auto cls = class_from(fields[3]);
       if (!of || !neighbor || !cls)
         return fail(error, "malformed class", line_number);
       if (*of >= nb::kInvalidAsn || *neighbor >= nb::kInvalidAsn)
@@ -232,25 +233,23 @@ bool parse_into(std::istream& in, Model& model, std::string* error) {
         return fail(error, "malformed filter", line_number);
       model.set_export_filter(*from, *to, *prefix, deny, owner);
     } else if (directive == "ranking") {
-      auto prefix =
-          fields.size() == 4 ? nb::Prefix::parse(fields[1]) : std::nullopt;
-      auto router = fields.size() == 4 ? parse_router(fields[2])
-                                       : std::nullopt;
-      auto preferred =
-          fields.size() == 4 ? nb::parse_u64(fields[3]) : std::nullopt;
+      if (fields.size() != 4)
+        return fail(error, "malformed ranking", line_number);
+      auto prefix = nb::Prefix::parse(fields[1]);
+      auto router = parse_router(fields[2]);
+      auto preferred = nb::parse_u64(fields[3]);
       if (!prefix || !router || !preferred)
         return fail(error, "malformed ranking", line_number);
       if (*preferred >= nb::kInvalidAsn)
         return fail(error, "ranking AS number out of range", line_number);
       model.set_ranking(*router, *prefix, static_cast<Asn>(*preferred));
     } else if (directive == "lp-override") {
-      auto prefix =
-          fields.size() == 5 ? nb::Prefix::parse(fields[1]) : std::nullopt;
-      auto router = fields.size() == 5 ? parse_router(fields[2])
-                                       : std::nullopt;
-      auto neighbor =
-          fields.size() == 5 ? nb::parse_u64(fields[3]) : std::nullopt;
-      auto lp = fields.size() == 5 ? nb::parse_u64(fields[4]) : std::nullopt;
+      if (fields.size() != 5)
+        return fail(error, "malformed lp-override", line_number);
+      auto prefix = nb::Prefix::parse(fields[1]);
+      auto router = parse_router(fields[2]);
+      auto neighbor = nb::parse_u64(fields[3]);
+      auto lp = nb::parse_u64(fields[4]);
       if (!prefix || !router || !neighbor || !lp)
         return fail(error, "malformed lp-override", line_number);
       if (*neighbor >= nb::kInvalidAsn || *lp > 0xffffffffu)
@@ -258,10 +257,11 @@ bool parse_into(std::istream& in, Model& model, std::string* error) {
       model.set_lp_override(*router, *prefix, static_cast<Asn>(*neighbor),
                             static_cast<std::uint32_t>(*lp));
     } else if (directive == "export-allow") {
-      auto prefix =
-          fields.size() == 4 ? nb::Prefix::parse(fields[1]) : std::nullopt;
-      auto from = fields.size() == 4 ? parse_router(fields[2]) : std::nullopt;
-      auto to = fields.size() == 4 ? parse_router(fields[3]) : std::nullopt;
+      if (fields.size() != 4)
+        return fail(error, "malformed export-allow", line_number);
+      auto prefix = nb::Prefix::parse(fields[1]);
+      auto from = parse_router(fields[2]);
+      auto to = parse_router(fields[3]);
       if (!prefix || !from || !to)
         return fail(error, "malformed export-allow", line_number);
       model.set_export_allow(*from, *to, *prefix);

@@ -60,7 +60,9 @@ void truncation_sweep(const std::string& text, std::size_t max_cuts,
         << "cut at " << cut;
     // A truncation may still be well-formed (e.g. fewer records); what it
     // may never do is throw, abort, or fail without a message.
-    if (!ok) EXPECT_FALSE(error.empty()) << "cut at " << cut;
+    if (!ok) {
+      EXPECT_FALSE(error.empty()) << "cut at " << cut;
+    }
   }
 }
 

@@ -196,7 +196,7 @@ TEST(RegistryTest, ShardedTotalsDeterministicAcrossThreadCounts) {
     const obs::HistogramId h = reg.histogram("work.value", {10, 100});
     bgp::ThreadPool pool(threads);
     {
-      obs::ShardGroup shards(reg, pool.shard_count());
+      obs::ShardGroup shards(reg, pool.size());
       pool.parallel_for_worker(items, [&](unsigned worker, std::size_t i) {
         obs::Shard& shard = shards.shard(worker);
         shard.add(c, i);

@@ -1,7 +1,6 @@
 // Tests for the sweep profiler and flight recorder (DESIGN.md section 14):
 // the lock-free ring semantics (wrap, drop counts, out-of-range tracks,
-// atomic dumps), the Spearman rank correlation and speedup-loss
-// attribution arithmetic behind `rdtool profile`, and the instrumented
+// atomic dumps), the speedup-loss attribution arithmetic behind `rdtool profile`, and the instrumented
 // refinement loop end to end -- profiled fits must produce shard samples,
 // merge worker counters deterministically for every thread count, stay
 // byte-identical to the uninstrumented fit, and leave a post-mortem dump
@@ -9,7 +8,6 @@
 // when the dump itself cannot be written.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -53,7 +51,7 @@ std::string slurp(const std::string& path) {
 TEST(FlightRecorderTest, DumpCarriesTrackLabelsAndTypedPayloads) {
   FlightRecorder flight(3, 8);
   flight.record(0, FlightEventType::kIterationStart, 1, 42);
-  flight.record(1, FlightEventType::kShardStart, 1, 0, 99);
+  flight.record(1, FlightEventType::kShardStart, 1, 0);
   flight.record(1, FlightEventType::kShardEnd, 1, 0, 4096);
   flight.record(0, FlightEventType::kStop, 0, 1);
 
@@ -73,7 +71,7 @@ TEST(FlightRecorderTest, DumpCarriesTrackLabelsAndTypedPayloads) {
   EXPECT_NE(dump.find("\"stop\""), std::string::npos);
   // Typed payload keys, not raw a/b/c words.
   EXPECT_NE(dump.find("\"active\": 42"), std::string::npos);
-  EXPECT_NE(dump.find("\"predicted_cost\": 99"), std::string::npos);
+  EXPECT_EQ(dump.find("predicted_cost"), std::string::npos);
   EXPECT_NE(dump.find("\"arena_bytes\": 4096"), std::string::npos);
 }
 
@@ -127,41 +125,14 @@ TEST(FlightRecorderTest, DumpToFileWritesAtomicallyAndReportsIoErrors) {
   EXPECT_FALSE(error.empty());
 }
 
-// ---- rank correlation -----------------------------------------------------
-
-TEST(RankCorrelationTest, MonotoneSeriesScorePlusMinusOne) {
-  const std::vector<double> x{1, 2, 3, 4, 5};
-  // Any monotone transform of x ranks identically: Spearman sees order only.
-  const std::vector<double> up{10, 100, 1000, 10000, 100000};
-  const std::vector<double> down{5, 4, 3, 2, 1};
-  EXPECT_DOUBLE_EQ(obs::rank_correlation(x, up), 1.0);
-  EXPECT_DOUBLE_EQ(obs::rank_correlation(x, down), -1.0);
-}
-
-TEST(RankCorrelationTest, TiesShareAverageRanks) {
-  // x ranks {1.5, 1.5, 3.5, 3.5} vs y ranks {1, 2, 3, 4}:
-  // r = 4 / sqrt(4 * 5) = 0.8944...
-  const std::vector<double> x{1, 1, 2, 2};
-  const std::vector<double> y{10, 20, 30, 40};
-  EXPECT_NEAR(obs::rank_correlation(x, y), 4.0 / std::sqrt(20.0), 1e-12);
-}
-
-TEST(RankCorrelationTest, DegenerateInputsAreNaN) {
-  EXPECT_TRUE(std::isnan(obs::rank_correlation({}, {})));
-  EXPECT_TRUE(std::isnan(obs::rank_correlation({1}, {2})));
-  EXPECT_TRUE(std::isnan(obs::rank_correlation({1, 2}, {1, 2, 3})));
-  // A constant side has zero rank variance: nothing to correlate.
-  EXPECT_TRUE(std::isnan(obs::rank_correlation({5, 5, 5}, {1, 2, 3})));
-}
-
 // ---- profile_sweep attribution --------------------------------------------
 
 TEST(ProfileSweepTest, AttributesImbalanceOverheadAndIdle) {
-  // One iteration: a 100us parallel span, worker 0 busy 80us (predicted 8),
-  // worker 1 busy 40us (predicted 4), inside a 200us fit.
+  // One iteration: a 100us parallel span, worker 0 busy 80us, worker 1
+  // busy 40us, inside a 200us fit.
   std::vector<obs::SweepShardSample> samples(2);
-  samples[0] = {1, 0, 0, 8, 0, 80, 50, 3, 1 << 20};
-  samples[1] = {1, 1, 1, 4, 0, 40, 25, 2, 1 << 18};
+  samples[0] = {1, 0, 0, 0, 80, 50, 3, 1 << 20};
+  samples[1] = {1, 1, 1, 0, 40, 25, 2, 1 << 18};
   const std::vector<obs::SweepIterationSpan> sweeps{{1, 0, 100}};
 
   const obs::SweepProfile profile =
@@ -180,7 +151,6 @@ TEST(ProfileSweepTest, AttributesImbalanceOverheadAndIdle) {
   EXPECT_NEAR(profile.idle_seconds, 80e-6, 1e-12);
   // (serial 100 + busy 120) / total 200.
   EXPECT_NEAR(profile.measured_speedup, 1.1, 1e-12);
-  EXPECT_DOUBLE_EQ(profile.cost_rank_correlation, 1.0);
   ASSERT_EQ(profile.lanes.size(), 2u);
   EXPECT_EQ(profile.lanes[0].worker, 0u);
   EXPECT_EQ(profile.lanes[0].busy_us, 80u);
@@ -193,7 +163,7 @@ TEST(ProfileSweepTest, AttributesImbalanceOverheadAndIdle) {
 
 TEST(ProfileSweepTest, ZeroTotalFallsBackToParallelTime) {
   std::vector<obs::SweepShardSample> samples(1);
-  samples[0] = {1, 0, 0, 8, 0, 80, 50, 3, 0};
+  samples[0] = {1, 0, 0, 0, 80, 50, 3, 0};
   const std::vector<obs::SweepIterationSpan> sweeps{{1, 0, 100}};
   const obs::SweepProfile profile = obs::profile_sweep(samples, sweeps, 0);
   EXPECT_NEAR(profile.total_seconds, 100e-6, 1e-12);
@@ -206,7 +176,6 @@ TEST(ProfileSweepTest, EmptyInputsProduceAnEmptyProfile) {
   EXPECT_EQ(profile.workers, 0u);
   EXPECT_EQ(profile.shard_samples, 0u);
   EXPECT_DOUBLE_EQ(profile.measured_speedup, 1.0);
-  EXPECT_TRUE(std::isnan(profile.cost_rank_correlation));
 }
 
 // ---- instrumented refinement loop -----------------------------------------
@@ -241,7 +210,7 @@ ProfiledFit profiled_fit(double scale, std::uint64_t seed, unsigned threads) {
   obs::Observer observer;
   observer.registry = &registry;
   observer.trace = &trace;
-  FlightRecorder flight(2 + bgp::ThreadPool::resolve(threads));
+  FlightRecorder flight(1 + bgp::ThreadPool::resolve(threads));
   core::RefineConfig refine;
   refine.threads = threads;
   refine.observer = &observer;
@@ -271,8 +240,7 @@ TEST(InstrumentedRefineTest, ProfiledFitSamplesShardsWithoutPerturbingIt) {
       << "attaching the profiler changed the fitted model";
 
   // Every iteration yields one sweep span, and every simulated prefix one
-  // sample (a profile "shard" is one prefix) carrying its view-priced
-  // predicted cost.
+  // sample (a profile "shard" is one prefix).
   ASSERT_GT(fit.result.iterations, 0u);
   EXPECT_EQ(fit.result.sweep_spans.size(), fit.result.iterations);
   std::size_t simulated = 0;
@@ -282,7 +250,6 @@ TEST(InstrumentedRefineTest, ProfiledFitSamplesShardsWithoutPerturbingIt) {
   std::uint64_t messages = 0;
   for (const obs::SweepShardSample& sample : fit.result.shard_samples) {
     EXPECT_EQ(sample.prefixes, 1u);
-    EXPECT_GT(sample.predicted_cost, 0u);
     messages += sample.messages;
   }
   EXPECT_EQ(messages, fit.result.messages_simulated);
@@ -393,7 +360,7 @@ TEST(FlightDumpTest, SweepFaultWritesThePostMortemWithTheFaultEvent) {
   Model model = ring_model();
   core::FaultPlan plan;
   plan.throw_iteration = 2;
-  FlightRecorder flight(2 + 2);
+  FlightRecorder flight(1 + 2);
   core::RefineConfig config;
   config.fault_plan = &plan;
   config.threads = 2;  // fault crosses the pool boundary

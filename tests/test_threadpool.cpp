@@ -3,14 +3,62 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <new>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "bgp/threadpool.hpp"
 #include "obs/registry.hpp"
 
 namespace {
+
+TEST(ThreadPoolTest, RunsOnExactlyTheRequestedThreadCount) {
+  // ThreadPool(4) spawns three workers; the calling thread is the fourth.
+  // Bodies wait until four distinct threads have entered, so the batch
+  // only fills every slot if the pool runs four threads (the timeout turns
+  // a smaller pool into a failure instead of a hang).
+  bgp::ThreadPool pool(4);
+  ASSERT_EQ(pool.size(), 4u);
+  std::mutex mutex;
+  std::condition_variable all_in;
+  std::set<std::thread::id> threads;
+  std::set<unsigned> slots;
+  pool.parallel_for_worker(4, [&](unsigned slot, std::size_t) {
+    std::unique_lock lock(mutex);
+    EXPECT_LT(slot, pool.size());
+    threads.insert(std::this_thread::get_id());
+    slots.insert(slot);
+    all_in.notify_all();
+    all_in.wait_for(lock, std::chrono::seconds(10),
+                    [&] { return threads.size() >= 4; });
+  });
+  EXPECT_EQ(threads.size(), 4u);
+  EXPECT_EQ(slots, (std::set<unsigned>{0, 1, 2, 3}));
+  EXPECT_TRUE(threads.count(std::this_thread::get_id()));
+
+  // Across many batches, no fifth thread or slot ever shows up.
+  pool.parallel_for_worker(1000, [&](unsigned slot, std::size_t) {
+    std::lock_guard lock(mutex);
+    EXPECT_LT(slot, pool.size());
+    threads.insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(threads.size(), 4u);
+}
+
+TEST(ThreadPoolTest, SingleThreadPoolHasOneSlot) {
+  bgp::ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.parallel_for_worker(3, [&](unsigned slot, std::size_t) {
+    EXPECT_EQ(slot, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
+}
 
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
   bgp::ThreadPool pool(1);
@@ -163,7 +211,7 @@ TEST(ThreadPoolTest, WorkerExceptionDoesNotDeadlockShardMerge) {
   const obs::CounterId done = registry.counter("test.done");
   std::atomic<std::uint64_t> completed{0};
   try {
-    obs::ShardGroup shards(registry, pool.shard_count());
+    obs::ShardGroup shards(registry, pool.size());
     pool.parallel_for_worker(200, [&](unsigned worker, std::size_t i) {
       if (i == 97) throw std::runtime_error("mid-sweep fault");
       shards.shard(worker).add(done, 1);
@@ -179,7 +227,7 @@ TEST(ThreadPoolTest, WorkerExceptionDoesNotDeadlockShardMerge) {
 
   // And the pool + a fresh ShardGroup still work for the next sweep.
   {
-    obs::ShardGroup shards(registry, pool.shard_count());
+    obs::ShardGroup shards(registry, pool.size());
     pool.parallel_for_worker(50, [&](unsigned worker, std::size_t) {
       shards.shard(worker).add(done, 1);
     });

@@ -83,9 +83,8 @@
 //   rdtool profile TRACE [--json]
 //       Sweep profiler (DESIGN.md section 14): read the per-prefix worker
 //       spans ("shard" spans, one prefix each) of a refine --trace run
-//       (trace level iteration or above), attribute parallel speedup loss
-//       to imbalance vs idle vs serial sections, and score the static cost
-//       model by the rank correlation of predicted vs measured cost.
+//       (trace level iteration or above) and attribute parallel speedup
+//       loss to imbalance vs idle vs serial sections.
 //
 //   rdtool selftest [--dir DIR]
 //       End-to-end smoke test over real files (used by ctest).
@@ -230,8 +229,7 @@ void print_help(std::FILE* out) {
       "            per-iteration convergence table + phase timings\n"
       "  profile   sweep profiler (rdtool profile TRACE [--json]):\n"
       "            per-worker busy/idle lanes, speedup-loss attribution\n"
-      "            (imbalance vs idle vs serial) and predicted-vs-measured\n"
-      "            shard-cost rank correlation from a refine --trace run\n"
+      "            (imbalance vs idle vs serial) from a refine --trace run\n"
       "  serve     long-lived route-prediction daemon (--model F [--port P]\n"
       "            [--port-file F] [--threads N] [--queue-capacity N]\n"
       "            [--deadline-seconds S] [--drain-seconds S]\n"
@@ -542,10 +540,10 @@ int cmd_refine(const nb::Cli& cli) {
   // opts out; --flight-dump redirects the dump path.
   std::optional<obs::FlightRecorder> flight;
   if (!cli.get_bool("no-flight-recorder")) {
-    // Track count must cover every sweep worker; resolve() maps the
+    // Track count must cover every sweep slot; resolve() maps the
     // --threads request (0 = hardware) the same way the pool will.
-    const unsigned workers = bgp::ThreadPool::resolve(config.threads);
-    flight.emplace(2 + workers,
+    const unsigned threads = bgp::ThreadPool::resolve(config.threads);
+    flight.emplace(1 + threads,
                    cli.get_u64("flight-capacity",
                                obs::FlightRecorder::kDefaultCapacity));
     config.flight_recorder = &*flight;
@@ -1374,9 +1372,8 @@ int cmd_stats(const nb::Cli& cli) {
 
 /// `rdtool profile TRACE [--json]`: the post-run sweep profiler (DESIGN.md
 /// section 14).  Reads the per-prefix "shard" spans a `refine --trace` run
-/// emits at trace level iteration or above, attributes parallel speedup
-/// loss to imbalance vs idle vs serial sections, and scores the static cost
-/// model by the rank correlation of predicted vs measured shard cost.
+/// emits at trace level iteration or above and attributes parallel speedup
+/// loss to imbalance vs idle vs serial sections.
 int cmd_profile(const nb::Cli& cli) {
   std::string path = cli.get_string("trace", "");
   if (path.empty() && !cli.positional().empty()) path = cli.positional().front();
@@ -1402,8 +1399,6 @@ int cmd_profile(const nb::Cli& cli) {
       s.shard = static_cast<std::size_t>(args->number_or("shard"));
       const auto tid = static_cast<std::uint64_t>(event.number_or("tid"));
       s.worker = tid >= 1000 ? static_cast<unsigned>(tid - 1000) : 0;
-      s.predicted_cost =
-          static_cast<std::uint64_t>(args->number_or("predicted_cost"));
       s.start_us = static_cast<std::uint64_t>(event.number_or("ts"));
       s.dur_us = static_cast<std::uint64_t>(event.number_or("dur"));
       s.messages = static_cast<std::uint64_t>(args->number_or("messages"));
@@ -1446,8 +1441,6 @@ int cmd_profile(const nb::Cli& cli) {
   }
   const obs::SweepProfile profile =
       obs::profile_sweep(samples, sweeps, total_seconds);
-  const bool have_corr = profile.cost_rank_correlation ==
-                         profile.cost_rank_correlation;  // not NaN
 
   if (cli.get_bool("json")) {
     nb::JsonWriter w;
@@ -1467,11 +1460,6 @@ int cmd_profile(const nb::Cli& cli) {
     w.key("imbalance_seconds").value_fixed(profile.imbalance_seconds, 6);
     w.key("overhead_seconds").value_fixed(profile.overhead_seconds, 6);
     w.key("measured_speedup").value_fixed(profile.measured_speedup, 4);
-    w.key("cost_rank_correlation");
-    if (have_corr)
-      w.value_fixed(profile.cost_rank_correlation, 4);
-    else
-      w.raw("null");
     w.key("lanes").begin_array();
     for (const obs::WorkerLane& lane : profile.lanes) {
       w.begin_object();
@@ -1502,13 +1490,6 @@ int cmd_profile(const nb::Cli& cli) {
       profile.idle_seconds);
   std::printf("measured speedup %.2fx over the same work serialized\n",
               profile.measured_speedup);
-  if (have_corr)
-    std::printf("cost model: predicted-vs-measured shard rank correlation "
-                "%.4f over %zu shards\n",
-                profile.cost_rank_correlation, profile.shard_samples);
-  else
-    std::printf("cost model: rank correlation n/a (fewer than 2 shard "
-                "samples, or constant costs)\n");
   nb::TextTable lanes({"worker", "shards", "busy s", "idle s", "busy %"});
   for (const obs::WorkerLane& lane : profile.lanes) {
     const double busy = static_cast<double>(lane.busy_us) / 1e6;
